@@ -1,12 +1,11 @@
 """Exact divisor-class workbench for curves on low-degree hypersurfaces in P^3.
 
 Core pieces: exact cyclotomic arithmetic, projective line geometry with
-determinant-based incidence, surface lattice models (Fermat atlases and
+Plücker incidence, surface lattice models (Fermat atlases and
 builtin lattices), divisor-class calculus, and the aCM classification
 verdict engine with witness search and a worked-example reproduction suite.
 """
 
-from . import kernel
 from .cyclo import CycNum, OrderError, rational, zeta
 from .geometry import Incidence, Line, LinearForm, line_from_forms, line_on_fermat, lines_meet
 from .surfaces import SurfaceModel, builtin_model, fermat_model, load_model, model_validate
@@ -65,7 +64,6 @@ __all__ = [
     "hvector_invariants",
     "is_m_connected",
     "k_invariant",
-    "kernel",
     "line_from_forms",
     "line_on_fermat",
     "lines_meet",

@@ -8,15 +8,15 @@ coefficient inspection.  No floating point enters any decision; a complex
 embedding exists for debugging only.
 
 Values are immutable and operations are pure, so everything here is safe
-to share across threads.
+to share across threads.  The coefficient functions _normalize, _add, _sub
+and _mul work on raw numerator tuples; CycNum calls them directly, and so
+does the Plücker incidence pairing in geometry.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 import cmath
-
-from . import kernel
 
 MAX_ORDER = 40
 
@@ -127,6 +127,60 @@ def get_order(n):
     return CycOrder(n)
 
 
+def _normalize(nums, den):
+    """Divide out the content and force a positive denominator."""
+    if den < 0:
+        den = -den
+        nums = [-v for v in nums]
+    g = den
+    for v in nums:
+        g = gcd(g, v)
+        if g == 1:
+            return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
+
+
+def _add(anums, aden, bnums, bden):
+    if aden == bden:
+        return _normalize([x + y for x, y in zip(anums, bnums)], aden)
+    return _normalize(
+        [x * bden + y * aden for x, y in zip(anums, bnums)], aden * bden
+    )
+
+
+def _sub(anums, aden, bnums, bden):
+    if aden == bden:
+        return _normalize([x - y for x, y in zip(anums, bnums)], aden)
+    return _normalize(
+        [x * bden - y * aden for x, y in zip(anums, bnums)], aden * bden
+    )
+
+
+def _mul(anums, aden, bnums, bden, red_rows):
+    """Product modulo the minimal polynomial; red_rows[j] is x^(phi+j).
+
+    The numerators are convolved and powers of the generator at or above
+    phi are folded back with the precomputed integer reduction rows.
+    """
+    phi = len(anums)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(anums):
+        if x:
+            for j, y in enumerate(bnums):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:phi]
+    for j in range(phi - 1):
+        t = conv[phi + j]
+        if t:
+            row = red_rows[j]
+            for i in range(phi):
+                c = row[i]
+                if c:
+                    out[i] += t * c
+    return _normalize(out, aden * bden)
+
+
 def _wrap(n, nums, den):
     self = object.__new__(CycNum)
     self.order = n
@@ -181,7 +235,7 @@ class CycNum:
                 for j in range(ordn.phi):
                     if row[j]:
                         out[j] += c * row[j]
-        nums, den = kernel.normalize(out, self.den)
+        nums, den = _normalize(out, self.den)
         return _wrap(n, nums, den)
 
     # -- predicates ---------------------------------------------------
@@ -213,7 +267,7 @@ class CycNum:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        nums, den = kernel.add(a.nums, a.den, b.nums, b.den)
+        nums, den = _add(a.nums, a.den, b.nums, b.den)
         return _wrap(a.order, nums, den)
 
     __radd__ = __add__
@@ -222,21 +276,21 @@ class CycNum:
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        nums, den = kernel.sub(a.nums, a.den, b.nums, b.den)
+        nums, den = _sub(a.nums, a.den, b.nums, b.den)
         return _wrap(a.order, nums, den)
 
     def __rsub__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        nums, den = kernel.sub(b.nums, b.den, a.nums, a.den)
+        nums, den = _sub(b.nums, b.den, a.nums, a.den)
         return _wrap(a.order, nums, den)
 
     def __mul__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        nums, den = kernel.mul(
+        nums, den = _mul(
             a.nums, a.den, b.nums, b.den, get_order(a.order).red_rows
         )
         return _wrap(a.order, nums, den)
@@ -254,7 +308,7 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero cyclotomic number")
         if self.is_rational():
-            nums, den = kernel.normalize(
+            nums, den = _normalize(
                 [self.den] + [0] * (len(self.nums) - 1), self.nums[0]
             )
             return _wrap(self.order, nums, den)
@@ -277,7 +331,7 @@ class CycNum:
         for c in inv:
             common = common * c.denominator // gcd(common, c.denominator)
         nums = [int(c * common) for c in inv[:phi]]
-        nums, den = kernel.normalize(nums, common)
+        nums, den = _normalize(nums, common)
         return _wrap(self.order, nums, den)
 
     def __truediv__(self, other):
@@ -414,7 +468,7 @@ def rational(p, q=1):
     """The rational number p/q as a cyclotomic element of order 1."""
     if q == 0:
         raise ZeroDivisionError("rational with zero denominator")
-    nums, den = kernel.normalize([p], q)
+    nums, den = _normalize([p], q)
     return _wrap(1, nums, den)
 
 

@@ -8,6 +8,7 @@ cannot occur as stated.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 
@@ -206,6 +207,9 @@ def genus_of_sum(decomp):
 
 
 MAX_CONNECTEDNESS_SIZE = 20
+# splits enumerated: the product of (mult + 1) over the parts; 2^12 admits
+# every decomposition of total multiplicity 12 or less
+MAX_CONNECTEDNESS_SPLITS = 4096
 
 
 @dataclass(frozen=True)
@@ -227,6 +231,12 @@ def is_m_connected(decomp, m):
             f"exceeding the enumeration bound {MAX_CONNECTEDNESS_SIZE}"
         )
     parts = decomp.parts
+    splits = math.prod(mult + 1 for _, mult in parts)
+    if splits > MAX_CONNECTEDNESS_SPLITS:
+        raise ValueError(
+            f"decomposition has {splits} splits, "
+            f"exceeding the enumeration bound {MAX_CONNECTEDNESS_SPLITS}"
+        )
     npairs = [[pair(a, b) for b, _ in parts] for a, _ in parts]
     mults = [mult for _, mult in parts]
     best = None

@@ -7,6 +7,10 @@ Scalar grammar (used for line coefficients and standalone values):
     factor := "-" factor | atom ("^" integer)?
     atom   := integer | "zeta(" integer ")" | "x0".."x3" | "(" expr ")"
 
+A power "^" takes an exponent of at most MAX_EXPONENT, and every numerator
+and the denominator of its result must fit in MAX_POWER_BITS bits; either
+excess is a ParseError, so no expression can stall the process.
+
 Line literals are two forms separated by ";", with an optional "line:"
 prefix.  Divisor expressions are signed integer combinations of a model's
 generator names, e.g. "2*H - L[01|23](0,0)"; whitespace is ignored and an
@@ -21,6 +25,28 @@ from .geometry import Line
 
 class ParseError(ValueError):
     pass
+
+
+MAX_EXPONENT = 1000
+MAX_POWER_BITS = 4096
+
+
+def _bits(c):
+    """Largest bit length among the numerators and the denominator of c."""
+    return max(c.den.bit_length(), *(abs(v).bit_length() for v in c.nums))
+
+
+def _power(base, exponent):
+    """base^exponent within the bit-size cap; |exponent| <= MAX_EXPONENT."""
+    if exponent < 0:
+        base, exponent = base.inverse(), -exponent
+    # |x^e| < 2^(e*bits(x)) for rationals: refuse before computing; the
+    # check after the power covers the growth of cyclotomic coefficients
+    if exponent * _bits(base) <= MAX_POWER_BITS:
+        result = base**exponent
+        if _bits(result) <= MAX_POWER_BITS:
+            return result
+    raise ParseError(f"a power exceeds the bit-size cap {MAX_POWER_BITS}")
 
 
 _TOKEN = re.compile(r"\s*(zeta|x[0-3]|\d+|[()+\-*/^])")
@@ -133,7 +159,11 @@ class _Parser:
                 raise ParseError(f"exponent must be an integer, found {e!r}")
             if not value.is_scalar():
                 raise ParseError("coordinates cannot be raised to powers here")
-            value = _LinValue(value.const ** (sign * int(e)))
+            # the length test keeps int() off arbitrarily long digit strings
+            if len(e) > len(str(MAX_EXPONENT)) or int(e) > MAX_EXPONENT:
+                shown = e if len(e) <= 8 else e[:8] + "..."
+                raise ParseError(f"exponent {shown} exceeds the cap {MAX_EXPONENT}")
+            value = _LinValue(_power(value.const, sign * int(e)))
         return value
 
     def parse_atom(self):

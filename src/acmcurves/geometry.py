@@ -3,16 +3,27 @@
 A line is the common zero locus of two independent linear forms.  The
 canonical representative is the reduced row echelon form of the 2x4
 coefficient matrix over the cyclotomic field, so two lines are equal
-exactly when their canonical matrices agree.  Incidence of distinct lines
-is decided by the determinant of the stacked 4x4 form matrix: zero means
-the lines share a point, nonzero means they are skew.
+exactly when their canonical matrices agree.
+
+Each line also carries its six Plücker coordinates p_ij = r0[i]*r1[j] -
+r0[j]*r1[i] (i < j) of the canonical rows r0, r1, computed once.  Two lines
+share a point exactly when the Klein-quadric pairing
+
+    p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01
+
+vanishes.  The pairing is the Laplace expansion of the 4x4 determinant of
+the stacked canonical forms along its first two rows, so it equals that
+determinant exactly.  It is evaluated on raw numerators at the lcm of the
+two lines' orders with the coefficient functions of CycNum.  A zero pairing
+means SAME or MEET, told apart by comparing the canonical matrices; a
+nonzero pairing means SKEW.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, lcm
 
-from .cyclo import _check_order, _coerce, rational
+from .cyclo import _add, _check_order, _coerce, _mul, _sub, _wrap, get_order, rational
 
 
 class GeometryError(ValueError):
@@ -72,10 +83,15 @@ def _rref(rows):
     return rows, pivots
 
 
-class Line:
-    """A line in P^3, canonicalized as a rank-2 RREF 2x4 matrix."""
+# index pairs (i, j) of the Plücker coordinates p_ij, in storage order
+PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-    __slots__ = ("rows", "pivots")
+
+class Line:
+    """A line in P^3, canonicalized as a rank-2 RREF 2x4 matrix, with its
+    Plücker coordinates in the order of PLUCKER_INDICES."""
+
+    __slots__ = ("rows", "pivots", "plucker")
 
     def __init__(self, f1, f2):
         if not isinstance(f1, LinearForm):
@@ -92,8 +108,12 @@ class Line:
         )
         if len(pivots) < 2:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
-        self.rows = (tuple(rows[0]), tuple(rows[1]))
+        r0, r1 = self.rows = (tuple(rows[0]), tuple(rows[1]))
         self.pivots = tuple(pivots)
+        self.plucker = tuple(
+            _sum_of_products(((1, r0[i], r1[j]), (-1, r0[j], r1[i])), n)
+            for i, j in PLUCKER_INDICES
+        )
 
     def points(self):
         """Two independent points spanning the line (null space basis)."""
@@ -143,38 +163,46 @@ class Incidence(Enum):
     SAME = "SAME"
 
 
-def _det(mat):
-    """Exact determinant by cofactor expansion, skipping zero entries."""
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    total = None
-    for j in range(size):
-        entry = mat[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [row[c] for c in range(size) if c != j] for row in mat[1:]
-        ]
-        term = entry * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rational(0)
-    return total
+def _sum_of_products(terms, n):
+    """The sum of sign*x*y over (sign, x, y) for x, y of order n.
+
+    Evaluated on raw numerators with the coefficient functions of CycNum;
+    terms with a zero factor are skipped.
+    """
+    order = get_order(n)
+    nums, den = (0,) * order.phi, 1
+    for sign, x, y in terms:
+        if any(x.nums) and any(y.nums):
+            tnums, tden = _mul(x.nums, x.den, y.nums, y.den, order.red_rows)
+            nums, den = (_add if sign > 0 else _sub)(nums, den, tnums, tden)
+    return _wrap(n, nums, den)
 
 
-def stacked_determinant(a, b):
-    """Determinant of the 4x4 matrix stacking both lines' canonical forms."""
-    return _det([list(a.rows[0]), list(a.rows[1]), list(b.rows[0]), list(b.rows[1])])
+# signs of p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01: the
+# k-th coordinate of one line is multiplied by the (5-k)-th of the other
+_PAIRING_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def _plucker_pairing(a, b):
+    """Klein-quadric pairing of two lines, as a cyclotomic number.
+
+    Equal to the determinant of the 4x4 matrix stacking both lines'
+    canonical forms.
+    """
+    p, q = a.plucker, b.plucker
+    n = p[0].order
+    if n != q[0].order:
+        n = lcm(n, q[0].order)
+        p = tuple(c.lift(n) for c in p)
+        q = tuple(c.lift(n) for c in q)
+    return _sum_of_products(zip(_PAIRING_SIGNS, p, reversed(q)), n)
 
 
 def lines_meet(a, b):
     """SAME, MEET (one common point) or SKEW for two lines in P^3."""
-    if a == b:
-        return Incidence.SAME
-    return Incidence.SKEW if not stacked_determinant(a, b).is_zero() else Incidence.MEET
+    if any(_plucker_pairing(a, b).nums):
+        return Incidence.SKEW
+    return Incidence.SAME if a == b else Incidence.MEET
 
 
 MAX_FERMAT_EXPANSION_DEGREE = 12

@@ -136,7 +136,8 @@ def _line_name(pairing, a, b):
 def build_fermat_model(d):
     """Fermat model of degree d with its standard line atlas, unconditionally
     re-verified: every enumerated line must pass the membership test and the
-    atlas must be duplicate free, otherwise construction aborts."""
+    atlas must be duplicate free, otherwise construction aborts.  Duplicates
+    are caught by the incidence Gram loop, which sees every pair once."""
     if d not in FERMAT_DEGREES:
         raise SurfaceError(f"fermat models support degrees {FERMAT_DEGREES}, got {d}")
     names = []
@@ -153,12 +154,6 @@ def build_fermat_model(d):
                     )
                 names.append(name)
                 lines.append(line)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if lines[i] == lines[j]:
-                raise SurfaceError(
-                    f"atlas lines {names[i]} and {names[j]} coincide"
-                )
     m = 1 + len(lines)
     gram = [[0] * m for _ in range(m)]
     gram[0][0] = d
@@ -169,6 +164,10 @@ def build_fermat_model(d):
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             rel = lines_meet(lines[i], lines[j])
+            if rel is Incidence.SAME:
+                raise SurfaceError(
+                    f"atlas lines {names[i]} and {names[j]} coincide"
+                )
             v = 1 if rel is Incidence.MEET else 0
             gram[1 + i][1 + j] = gram[1 + j][1 + i] = v
     plane_genus = (d - 1) * (d - 2) // 2

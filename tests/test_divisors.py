@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from acmcurves.divisors import (
+    MAX_CONNECTEDNESS_SPLITS,
     Decomposition,
     HVector,
     ModelMismatchError,
@@ -191,6 +193,19 @@ def test_m_connected_size_bound(fermat5):
     H = fermat5.hyperplane_class
     with pytest.raises(ValueError):
         is_m_connected(Decomposition(((H, 21),)), 1)
+
+
+def test_m_connected_split_bound(fermat5):
+    lines = [fermat5.gen_class(name) for name in fermat5.line_names()]
+    # total multiplicity 8 is always enumerated: 2^8 splits at most
+    res = is_m_connected(Decomposition(tuple((l, 1) for l in lines[:8])), 1)
+    assert res.minimum is not None
+    # 16 distinct lines have 2^16 splits, far beyond the bound: refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="65536 splits"):
+        is_m_connected(Decomposition(tuple((l, 1) for l in lines[:16])), 1)
+    assert time.perf_counter() - start < 0.25  # enumerating takes about 1 s
+    assert 2**16 > MAX_CONNECTEDNESS_SPLITS >= 2**8
 
 
 def test_m_connected_agrees_with_oracle(fermat5):

@@ -4,6 +4,7 @@ import pytest
 
 from acmcurves.cyclo import rational, zeta
 from acmcurves.exprs import (
+    MAX_EXPONENT,
     ParseError,
     format_divisor,
     parse_divisor,
@@ -21,6 +22,27 @@ def test_scalar_tokens():
     assert parse_scalar("2*zeta(5)^2") == 2 * zeta(5, 2)
     assert parse_scalar("(1+zeta(8))*(1-zeta(8))") == 1 - zeta(8, 2)
     assert parse_scalar("zeta(5)^-1") == zeta(5, 4)
+
+
+def test_power_caps():
+    assert parse_scalar("zeta(40)^39") == zeta(40, 39)
+    assert parse_scalar("zeta(40)^-39") == zeta(40)
+    assert parse_scalar(f"2^{MAX_EXPONENT}") == rational(2**MAX_EXPONENT)
+    assert parse_scalar("1/3^1000") == rational(1, 3**1000)
+    assert parse_scalar("(2^1000)^4") == rational(2**4000)  # 4001 bits
+    for text, message in (
+        ("3^400000", "exponent 400000 exceeds the cap"),
+        (f"3^{MAX_EXPONENT + 1}", "exceeds the cap"),
+        ("3^" + "9" * 5000, "exponent 99999999... exceeds the cap"),
+        ("2^1000^1000", "bit-size cap"),  # chained: (2^1000)^1000
+        ("(3^600)^6", "bit-size cap"),
+        ("(2^1000)^5", "bit-size cap"),
+        ("(1 + 2*zeta(40))^-1000", "bit-size cap"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_scalar(text)
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        parse_linear_form("x0 + 3^400000*x1")
 
 
 def test_scalar_rejects_coordinates():

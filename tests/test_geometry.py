@@ -14,8 +14,9 @@ from acmcurves.geometry import (
     line_from_forms,
     line_on_fermat,
     lines_meet,
-    stacked_determinant,
 )
+
+from det_oracle import stacked_determinant
 
 ONE = rational(1)
 ZERO = rational(0)

@@ -1,7 +1,10 @@
 """Surface models: Fermat atlases, builtin lattices, validation."""
 
+import re
+
 import pytest
 
+from acmcurves import surfaces
 from acmcurves.divisors import genus, pair
 from acmcurves.geometry import Incidence, line_on_fermat, lines_meet
 from acmcurves.surfaces import (
@@ -33,6 +36,21 @@ def test_atlas_lines_are_distinct(fermat5):
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             assert lines[i] != lines[j]
+
+
+def test_duplicated_atlas_line_aborts_construction(monkeypatch):
+    # every line of the third pairing comes out as L[03|12](0,1)
+    standard = surfaces._standard_line
+
+    def duplicating(d, pairing, a, b):
+        if pairing == (0, 3, 1, 2):
+            a, b = 0, 1
+        return standard(d, pairing, a, b)
+
+    monkeypatch.setattr(surfaces, "_standard_line", duplicating)
+    message = "atlas lines L[03|12](0,0) and L[03|12](0,1) coincide"
+    with pytest.raises(SurfaceError, match=re.escape(message)):
+        build_fermat_model(4)
 
 
 def test_gram_diagonal_and_hyperplane_row(fermat5, fermat4):
