@@ -9,8 +9,10 @@ embedding exists for debugging only.
 
 Values are immutable and operations are pure, so everything here is safe
 to share across threads.  The coefficient functions _normalize, _add, _sub
-and _mul work on raw numerator tuples; CycNum calls them directly, and so
-does the Plücker incidence pairing in geometry.
+and _mul work on raw numerator tuples; CycNum calls them directly.  _mul is
+one _convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
+modulo Phi_n; the exact zero tests in geometry convolve many products into
+one buffer and fold it once.
 """
 
 from fractions import Fraction
@@ -156,29 +158,37 @@ def _sub(anums, aden, bnums, bden):
     )
 
 
-def _mul(anums, aden, bnums, bden, red_rows):
-    """Product modulo the minimal polynomial; red_rows[j] is x^(phi+j).
-
-    The numerators are convolved and powers of the generator at or above
-    phi are folded back with the precomputed integer reduction rows.
-    """
-    phi = len(anums)
-    conv = [0] * (2 * phi - 1)
+def _convolve(conv, anums, bnums, scale):
+    """Add scale times the polynomial product of two numerator tuples into
+    the buffer conv, of length at least len(anums) + len(bnums) - 1."""
     for i, x in enumerate(anums):
         if x:
+            x *= scale
             for j, y in enumerate(bnums):
                 if y:
                     conv[i + j] += x * y
+
+
+def _fold(conv, red_rows):
+    """Reduce a convolution buffer of length 2*phi - 1 modulo the minimal
+    polynomial; red_rows[j] is x^(phi+j).  The numerators are not normalized."""
+    phi = len(red_rows) + 1
     out = conv[:phi]
-    for j in range(phi - 1):
+    for j, row in enumerate(red_rows):
         t = conv[phi + j]
         if t:
-            row = red_rows[j]
             for i in range(phi):
                 c = row[i]
                 if c:
                     out[i] += t * c
-    return _normalize(out, aden * bden)
+    return out
+
+
+def _mul(anums, aden, bnums, bden, red_rows):
+    """Product modulo the minimal polynomial: one convolution, one fold."""
+    conv = [0] * (2 * len(anums) - 1)
+    _convolve(conv, anums, bnums, 1)
+    return _normalize(_fold(conv, red_rows), aden * bden)
 
 
 def _wrap(n, nums, den):
@@ -187,6 +197,25 @@ def _wrap(n, nums, den):
     self.nums = nums
     self.den = den
     return self
+
+
+def _common_order(values):
+    """(n, values): the lcm n of the values' orders, checked against the cap.
+
+    Only when that lcm exceeds the cap are rational values of a higher
+    order rewritten at order 1 first, so that mixed orders fail only when
+    an irrational value needs them; below the cap every value keeps its
+    order, and results keep the order they have always had.
+    """
+    n = lcm(*(v.order for v in values))
+    if n > MAX_ORDER:
+        values = tuple(
+            _wrap(1, v.nums[:1], v.den) if v.order > 1 and v.is_rational() else v
+            for v in values
+        )
+        n = lcm(*(v.order for v in values))
+    _check_order(n)
+    return n, values
 
 
 def _coerce(value):
@@ -204,7 +233,8 @@ class CycNum:
 
     Supports the usual operators against other elements, ints, and
     Fractions.  Operands of different orders are lifted to Q(zeta_lcm)
-    first; the lcm must stay within the order cap.
+    first; the lcm must stay within the order cap, after rational operands
+    descend to order 1 when it would not.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -259,9 +289,8 @@ class CycNum:
             return None, None
         if self.order == other.order:
             return self, other
-        n = lcm(self.order, other.order)
-        _check_order(n)
-        return self.lift(n), other.lift(n)
+        n, (a, b) = _common_order((self, other))
+        return a.lift(n), b.lift(n)
 
     def __add__(self, other):
         a, b = self._align(other)

@@ -46,21 +46,21 @@ class DivClass:
         if not isinstance(other, DivClass):
             return NotImplemented
         _same_model(self, other)
-        return DivClass(self.model, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return _class(self.model, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, DivClass):
             return NotImplemented
         _same_model(self, other)
-        return DivClass(self.model, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return _class(self.model, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return DivClass(self.model, tuple(-x for x in self.coeffs))
+        return _class(self.model, tuple(-x for x in self.coeffs))
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return DivClass(self.model, tuple(k * x for x in self.coeffs))
+        return _class(self.model, tuple(k * x for x in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -74,6 +74,15 @@ class DivClass:
 
     def __repr__(self):
         return f"DivClass({self})"
+
+
+def _class(model, coeffs):
+    """A DivClass from a tuple of ints of the model's length, as class
+    arithmetic and SurfaceModel.gen_class produce; skips __post_init__."""
+    d = object.__new__(DivClass)
+    object.__setattr__(d, "model", model)
+    object.__setattr__(d, "coeffs", coeffs)
+    return d
 
 
 def pair(a, b):
@@ -323,11 +332,9 @@ def certify_effective(d):
             if c_h - need:
                 parts.append((model.hyperplane_class, c_h - need))
             for i, c in enumerate(d.coeffs[1:], start=1):
-                gen = model.gen_class(model.generators[i])
-                if c > 0:
-                    parts.append((gen, c))
-                elif c < 0:
-                    parts.append((model.hyperplane_class - gen, -c))
+                if c:
+                    gen = model.gen_class(model.generators[i])
+                    parts.append((gen, c) if c > 0 else (model.hyperplane_class - gen, -c))
             return EffectivityCertificate(
                 True,
                 "nonnegative combination of H, atlas lines, and residual plane curves",

@@ -5,7 +5,12 @@ canonical representative is the reduced row echelon form of the 2x4
 coefficient matrix over the cyclotomic field, so two lines are equal
 exactly when their canonical matrices agree.
 
-Each line also carries its six Plücker coordinates p_ij = r0[i]*r1[j] -
+Every exact zero test here is a signed sum of products, evaluated by _dot
+with one reduction: the products are convolved on raw numerators, over one
+common denominator, into a single buffer, which is then folded modulo the
+cyclotomic polynomial once, with the coefficient functions of CycNum.
+
+Each line carries its six Plücker coordinates p_ij = r0[i]*r1[j] -
 r0[j]*r1[i] (i < j) of the canonical rows r0, r1, computed once.  Two lines
 share a point exactly when the Klein-quadric pairing
 
@@ -13,17 +18,31 @@ share a point exactly when the Klein-quadric pairing
 
 vanishes.  The pairing is the Laplace expansion of the 4x4 determinant of
 the stacked canonical forms along its first two rows, so it equals that
-determinant exactly.  It is evaluated on raw numerators at the lcm of the
-two lines' orders with the coefficient functions of CycNum.  A zero pairing
-means SAME or MEET, told apart by comparing the canonical matrices; a
-nonzero pairing means SKEW.
+determinant exactly.  A zero pairing means SAME or MEET, told apart by
+comparing the canonical matrices; a nonzero pairing means SKEW.
+
+Membership in the Fermat surface of degree d is decided from the pivot
+rows: with a_r, b_r the entries of pivot row r in the two free columns,
+the coefficient of s^j t^(d-j) of the restricted form is C(d,j) times
+[j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j), one _dot per j over
+powers taken at the line's own order.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, lcm
+from math import gcd
 
-from .cyclo import _add, _check_order, _coerce, _mul, _sub, _wrap, get_order, rational
+from .cyclo import (
+    _coerce,
+    _common_order,
+    _convolve,
+    _fold,
+    _mul,
+    _normalize,
+    _wrap,
+    get_order,
+    rational,
+)
 
 
 class GeometryError(ValueError):
@@ -98,20 +117,20 @@ class Line:
             f1 = LinearForm(f1)
         if not isinstance(f2, LinearForm):
             f2 = LinearForm(f2)
-        n = lcm(*(c.order for c in f1.coeffs + f2.coeffs))
-        _check_order(n)
+        n, coeffs = _common_order(f1.coeffs + f2.coeffs)
         rows, pivots = _rref(
             [
-                [c.lift(n) for c in f1.coeffs],
-                [c.lift(n) for c in f2.coeffs],
+                [c.lift(n) for c in coeffs[:4]],
+                [c.lift(n) for c in coeffs[4:]],
             ]
         )
         if len(pivots) < 2:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
         r0, r1 = self.rows = (tuple(rows[0]), tuple(rows[1]))
         self.pivots = tuple(pivots)
+        order = get_order(n)
         self.plucker = tuple(
-            _sum_of_products(((1, r0[i], r1[j]), (-1, r0[j], r1[i])), n)
+            _wrap(n, *_normalize(*_dot(((1, r0[i], r1[j]), (-1, r0[j], r1[i])), order)))
             for i, j in PLUCKER_INDICES
         )
 
@@ -163,24 +182,39 @@ class Incidence(Enum):
     SAME = "SAME"
 
 
-def _sum_of_products(terms, n):
-    """The sum of sign*x*y over (sign, x, y) for x, y of order n.
+def _dot(terms, order):
+    """The sum of sign*x*y over (sign, x, y), for x, y at the given order, as
+    unnormalized (numerators, denominator).
 
-    Evaluated on raw numerators with the coefficient functions of CycNum;
-    terms with a zero factor are skipped.
+    Every product is convolved into one buffer over the lcm of the products'
+    denominators, and the buffer is reduced once.
     """
-    order = get_order(n)
-    nums, den = (0,) * order.phi, 1
+    conv = [0] * (2 * order.phi - 1)
+    den = 1
     for sign, x, y in terms:
-        if any(x.nums) and any(y.nums):
-            tnums, tden = _mul(x.nums, x.den, y.nums, y.den, order.red_rows)
-            nums, den = (_add if sign > 0 else _sub)(nums, den, tnums, tden)
-    return _wrap(n, nums, den)
+        tden = x.den * y.den
+        if den % tden:
+            grow = tden // gcd(den, tden)
+            conv = [c * grow for c in conv]
+            den *= grow
+        _convolve(conv, x.nums, y.nums, sign * (den // tden))
+    return _fold(conv, order.red_rows), den
 
 
 # signs of p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01: the
 # k-th coordinate of one line is multiplied by the (5-k)-th of the other
 _PAIRING_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def _pairing_numerators(a, b):
+    """Klein-quadric pairing of two lines as unnormalized (order, nums, den)."""
+    p, q = a.plucker, b.plucker
+    n = p[0].order
+    if n != q[0].order:
+        n, coords = _common_order(p + q)
+        coords = [c.lift(n) for c in coords]
+        p, q = coords[:6], coords[6:]
+    return (n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), get_order(n)))
 
 
 def _plucker_pairing(a, b):
@@ -189,18 +223,13 @@ def _plucker_pairing(a, b):
     Equal to the determinant of the 4x4 matrix stacking both lines'
     canonical forms.
     """
-    p, q = a.plucker, b.plucker
-    n = p[0].order
-    if n != q[0].order:
-        n = lcm(n, q[0].order)
-        p = tuple(c.lift(n) for c in p)
-        q = tuple(c.lift(n) for c in q)
-    return _sum_of_products(zip(_PAIRING_SIGNS, p, reversed(q)), n)
+    n, nums, den = _pairing_numerators(a, b)
+    return _wrap(n, *_normalize(nums, den))
 
 
 def lines_meet(a, b):
     """SAME, MEET (one common point) or SKEW for two lines in P^3."""
-    if any(_plucker_pairing(a, b).nums):
+    if any(_pairing_numerators(a, b)[1]):
         return Incidence.SKEW
     return Incidence.SAME if a == b else Incidence.MEET
 
@@ -208,11 +237,23 @@ def lines_meet(a, b):
 MAX_FERMAT_EXPANSION_DEGREE = 12
 
 
+def _powers(x, d, order):
+    """x^0, ..., x^d at the order of x, multiplied with _mul."""
+    out = [_wrap(order.n, order.power_rows[0], 1)]
+    for _ in range(d):
+        last = out[-1]
+        out.append(_wrap(order.n, *_mul(last.nums, last.den, x.nums, x.den, order.red_rows)))
+    return out
+
+
 def line_on_fermat(line, d):
     """Whether the line lies on x0^d + x1^d + x2^d + x3^d = 0.
 
-    The line is parametrized by two spanning points and the substituted
-    binomial expansion must vanish coefficient by coefficient.
+    The line is parametrized by its two free columns f, g: x_f = s, x_g = t
+    and, with a_r, b_r the entries of pivot row r in columns f, g,
+    x_(pivot r) = -(a_r*s + b_r*t).  The restricted form vanishes exactly
+    when, for every j, [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j)
+    does; the coefficient of s^j t^(d-j) is that times the nonzero C(d,j).
     """
     if not isinstance(d, int) or d < 2:
         raise GeometryError(f"hypersurface degree must be an integer >= 2, got {d!r}")
@@ -220,18 +261,13 @@ def line_on_fermat(line, d):
         raise GeometryError(
             f"degree {d} exceeds the expansion bound {MAX_FERMAT_EXPANSION_DEGREE}"
         )
-    p, q = line.points()
-    pw_p = [[rational(1)] for _ in range(4)]
-    pw_q = [[rational(1)] for _ in range(4)]
-    for i in range(4):
-        for _ in range(d):
-            pw_p[i].append(pw_p[i][-1] * p[i])
-            pw_q[i].append(pw_q[i][-1] * q[i])
+    order = get_order(line.rows[0][0].order)
+    f, g = (c for c in range(4) if c not in line.pivots)
+    powers = [(_powers(row[f], d, order), _powers(row[g], d, order)) for row in line.rows]
+    sign = -1 if d % 2 else 1
     for j in range(d + 1):
-        coeff = sum(
-            (pw_p[i][j] * pw_q[i][d - j] for i in range(4)),
-            rational(0),
-        ) * comb(d, j)
-        if not coeff.is_zero():
+        nums, den = _dot(((sign, pa[j], pb[d - j]) for pa, pb in powers), order)
+        nums[0] += ((j == d) + (j == 0)) * den
+        if any(nums):
             return False
     return True

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import rational, zeta
+from .divisors import DivClass, _class, pair
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
 FERMAT_DEGREES = (4, 5)
@@ -49,6 +50,11 @@ class SurfaceModel:
             raise SurfaceError("Gram matrix shape does not match the generators")
         if len(self.hyperplane) != m or len(self.canonical) != m:
             raise SurfaceError("class vectors must match the generator count")
+        # name -> position; the first position wins, as with tuple.index
+        positions = {}
+        for i, name in enumerate(self.generators):
+            positions.setdefault(name, i)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def ngens(self):
@@ -56,21 +62,17 @@ class SurfaceModel:
 
     def index(self, name):
         try:
-            return self.generators.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise SurfaceError(
                 f"unknown generator {name!r}; valid names: {', '.join(self.generators)}"
             ) from None
 
     def gen_class(self, name):
-        from .divisors import DivClass
-
         i = self.index(name)
-        return DivClass(self, tuple(1 if j == i else 0 for j in range(self.ngens)))
+        return _class(self, (0,) * i + (1,) + (0,) * (self.ngens - i - 1))
 
     def class_of(self, coeffs):
-        from .divisors import DivClass
-
         return DivClass(self, tuple(coeffs))
 
     def zero_class(self):
@@ -325,8 +327,6 @@ def _sample_classes(model, rng, count, max_support=5, max_coeff=9):
 
 def model_validate(model, samples=250, seed=20240801):
     """Consistency checks on a model; reports violations, never raises."""
-    from .divisors import pair
-
     checks = []
     gram_ok = all(
         model.gram[i][j] == model.gram[j][i]

@@ -76,6 +76,20 @@ def test_intersect_meeting_and_same(capsys):
     assert out.strip() == "SAME (equal lines)"
 
 
+def test_intersect_mixed_orders_with_a_rational_coefficient(capsys):
+    # zeta(7)^7 = 1; lcm(7, 8) = 56 would exceed the order cap of 40
+    code, out, _ = run(
+        capsys, "intersect", "x0 + zeta(7)^7*x1 ; x2 + zeta(8)*x3", "x0 + x2 ; x1 + x3"
+    )
+    assert code == 0
+    assert out.strip() == "0 (skew)"
+    code, out, _ = run(
+        capsys, "intersect", "x0 + zeta(7)^7*x1 ; x2 + x3", "x0 + x2 ; x1 + zeta(8)*x3"
+    )
+    assert code == 0
+    assert out.strip() == "0 (skew)"
+
+
 def test_intersect_atlas_names(capsys):
     code, out, _ = run(
         capsys, "intersect", "L[01|23](0,0)", "L[02|13](0,1)", "--model", "fermat5"

@@ -137,6 +137,19 @@ def test_mixed_order_lifting():
         zeta(16) * zeta(7)  # lcm 112
 
 
+def test_rationals_descend_when_the_lcm_exceeds_the_cap():
+    one7, one8 = zeta(7) ** 7, zeta(8) ** 8  # both equal 1; lcm 56 > 40
+    assert one7 == one8
+    total = one7 + one8
+    assert total == 2 and total.order == 1
+    assert zeta(7) * one8 == zeta(7)  # only the rational operand descends
+    assert (one7 - zeta(8)).order == 8
+    with pytest.raises(OrderError):
+        zeta(7) + zeta(8)  # neither operand is rational
+    # below the cap nothing descends, so results keep their order
+    assert (zeta(5) ** 5 + zeta(8)).order == 40
+
+
 def test_equality_and_hash_across_orders():
     one_as_order5 = zeta(5, 5)
     assert one_as_order5 == 1

@@ -350,6 +350,24 @@ def test_effectivity_certificates(fermat5):
     assert total == 2 * H - l1 + fermat5.gen_class("L[02|13](0,1)")
 
 
+def test_effectivity_certificate_builds_only_nonzero_generators(fermat5, monkeypatch):
+    H = fermat5.hyperplane_class
+    a, b, c = (fermat5.gen_class(name) for name in fermat5.line_names()[:3])
+    d = 3 * H - a + 2 * b - c
+    built = []
+    gen_class = SurfaceModel.gen_class
+
+    def counting_gen_class(self, name):
+        built.append(name)
+        return gen_class(self, name)
+
+    monkeypatch.setattr(SurfaceModel, "gen_class", counting_gen_class)
+    cert = certify_effective(d)
+    assert len(built) <= 3  # one per nonzero atlas coefficient
+    assert cert.ok
+    assert cert.parts == ((H, 1), (H - a, 1), (b, 2), (H - c, 1))
+
+
 def test_divclass_arithmetic_and_parse_roundtrip(fermat5):
     d = fermat5.parse("2*H - L[01|23](0,0) - L[02|13](0,1)")
     again = fermat5.parse(str(d))

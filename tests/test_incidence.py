@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from acmcurves.cyclo import rational, zeta
 from acmcurves.geometry import GeometryError, Incidence, Line, _plucker_pairing, lines_meet
 
 from det_oracle import stacked_determinant
+from strategies import ORDERS, coefficients, forms
 
 
 @pytest.mark.parametrize("fixture, npairs", [("fermat4", 1128), ("fermat5", 2775)])
@@ -42,24 +42,6 @@ def test_skew_pairs_skip_the_equality_test(fermat5, monkeypatch):
         for a, b in itertools.combinations(fermat5.lines, 2)
     )
     assert len(compared) == meets
-
-
-# coefficient orders; each line draws its coefficients at the divisors of
-# one of them, so every lcm stays within the cap of 40
-ORDERS = (1, 5, 8, 40)
-
-
-@st.composite
-def coefficients(draw, line_order):
-    n = draw(st.sampled_from([m for m in ORDERS if line_order % m == 0]))
-    value = rational(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-    for _ in range(draw(st.integers(0, 2))):
-        value = value + draw(st.integers(-2, 2)) * zeta(n, draw(st.integers(0, n - 1)))
-    return value
-
-
-def forms(line_order):
-    return st.tuples(*(coefficients(line_order) for _ in range(4)))
 
 
 @st.composite
