@@ -288,3 +288,244 @@ def test_verdict_rendering_and_json():
     parsed = json.loads(blob)
     assert parsed["status"] == "ACM" and parsed["rule"] == "Thm1.2(iii)"
     assert parsed["witness"] is None
+
+
+# -- full verdict texts, one per witness shape and per failure branch ----
+
+_POLICY = (
+    "  note effectivity policy: parts must be nonnegative combinations of "
+    "registered effective classes or certified degree-1 classes"
+)
+
+
+def _witness_case(m, prop, target, parts):
+    return check_witness(prop, m.parse(target), Decomposition.of(*(m.parse(p) for p in parts)))
+
+
+ACCEPTED = {
+    "two_skew_lines": (
+        "P4.4",
+        "H + L[01|23](0,0) + L[02|13](0,1)",
+        ["L[01|23](0,0)", "L[02|13](0,1)"],
+        """NOT_ACM rule=Prop4.4(b)
+{policy}
+  check target (deg, genus): (7, 6) (expected (7, 6))
+  note clause Prop4.4(b) satisfied
+  check Gamma1 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma2 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma1.Gamma2: 0 (expected 0)
+  check witness sum lies in |D-C|: L[01|23](0,0) + L[02|13](0,1) (expected L[01|23](0,0) + L[02|13](0,1))
+  witness: L[01|23](0,0) | L[02|13](0,1)""",
+    ),
+    "quartic_plus_two_skew_lines": (
+        "P4.6",
+        "H - L[03|12](4,0) + L[01|23](0,0) + L[02|13](0,1)",
+        ["H - L[03|12](4,0)", "L[01|23](0,0)", "L[02|13](0,1)"],
+        """NOT_ACM rule=Prop4.6(b2)
+{policy}
+  check target (deg, genus): (6, 3) (expected (6, 3))
+  note clause Prop4.6(b1) not satisfied
+  check witness sum lies in |2C-D|: H + L[01|23](0,0) + L[02|13](0,1) - L[03|12](4,0) (expected H - L[01|23](0,0) - L[02|13](0,1) + L[03|12](4,0))
+  note clause Prop4.6(b2) satisfied
+  check some part is a plane quartic: found (expected deg 4, genus 3)
+  check Gamma1 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma2 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma1.Gamma2: 0 (expected 0)
+  check witness sum lies in |D|: H + L[01|23](0,0) + L[02|13](0,1) - L[03|12](4,0) (expected H + L[01|23](0,0) + L[02|13](0,1) - L[03|12](4,0))
+  witness: H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)""",
+    ),
+    "quartic_plus_conic": (
+        "P4.6",
+        "H - L[03|12](4,0) + L[01|23](0,0) + L[01|23](0,4)",
+        ["H - L[03|12](4,0)", "L[01|23](0,0)", "L[01|23](0,4)"],
+        """NOT_ACM rule=Prop4.6(b3)
+{policy}
+  check target (deg, genus): (6, 3) (expected (6, 3))
+  note clause Prop4.6(b1) not satisfied
+  check witness sum lies in |2C-D|: H + L[01|23](0,0) + L[01|23](0,4) - L[03|12](4,0) (expected H - L[01|23](0,0) - L[01|23](0,4) + L[03|12](4,0))
+  note clause Prop4.6(b2) not satisfied
+  check some part is a plane quartic: found (expected deg 4, genus 3)
+  check Gamma1 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma2 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma1.Gamma2: 1 (expected 0)
+  check witness sum lies in |D|: H + L[01|23](0,0) + L[01|23](0,4) - L[03|12](4,0) (expected H + L[01|23](0,0) + L[01|23](0,4) - L[03|12](4,0))
+  note clause Prop4.6(b3) satisfied
+  check some part is a plane quartic: found (expected deg 4, genus 3)
+  check Delta^2: -4 (expected -4)
+  check deg Delta: 2 (expected 2)
+  check witness sum lies in |D|: H + L[01|23](0,0) + L[01|23](0,4) - L[03|12](4,0) (expected H + L[01|23](0,0) + L[01|23](0,4) - L[03|12](4,0))
+  witness: H - L[03|12](4,0) | L[01|23](0,0) | L[01|23](0,4)""",
+    ),
+    # the first degree-1 part fails as Gamma1; the second is accepted
+    "line_plus_conic": (
+        "P4.7",
+        "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)",
+        ["L[02|13](0,1)", "L[01|23](0,0)", "L[02|13](0,2)"],
+        """NOT_ACM rule=Prop4.7(b)
+{policy}
+  check target (deg, genus): (7, 5) (expected (7, 5))
+  note clause Prop4.7(b) satisfied
+  check Gamma1^2: -3 (expected -3)
+  check deg Gamma2: 2 (expected 2)
+  check Gamma2^2: -4 (expected -4)
+  check Gamma1.Gamma2: 0 (expected 0)
+  check witness sum lies in |2C-D|: L[01|23](0,0) + L[02|13](0,1) + L[02|13](0,2) (expected L[01|23](0,0) + L[02|13](0,1) + L[02|13](0,2))
+  witness: L[02|13](0,1) | L[01|23](0,0) | L[02|13](0,2)""",
+    ),
+    "quartic_plus_line": (
+        "P4.8",
+        "H - L[02|13](0,0) + L[01|23](0,0)",
+        ["H - L[02|13](0,0)", "L[01|23](0,0)"],
+        """NOT_ACM rule=Prop4.8(b)
+{policy}
+  check target (deg, genus): (5, 2) (expected (5, 2))
+  note clause Prop4.8(b) satisfied
+  check some part is a plane quartic: found (expected deg 4, genus 3)
+  check Gamma is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Dtilde.Gamma: 0 (expected 0)
+  check witness sum lies in |D|: H + L[01|23](0,0) - L[02|13](0,0) (expected H + L[01|23](0,0) - L[02|13](0,0))
+  witness: H - L[02|13](0,0) | L[01|23](0,0)""",
+    ),
+    "effective_sum": (
+        "P4.5",
+        "H + L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) + L[01|23](1,0) + L[01|23](2,1)",
+        ["L[01|23](0,0)", "L[01|23](0,1)", "L[01|23](0,2)", "L[01|23](1,0)", "L[01|23](2,1)"],
+        """NOT_ACM rule=Prop4.5(b)
+{policy}
+  check target (deg, genus): (10, 11) (expected (10, 11))
+  note clause Prop4.5(b) satisfied
+  check witness sum lies in |D-C|: L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) + L[01|23](1,0) + L[01|23](2,1) (expected L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) + L[01|23](1,0) + L[01|23](2,1))
+  witness: L[01|23](0,0) | L[01|23](0,1) | L[01|23](0,2) | L[01|23](1,0) | L[01|23](2,1)""",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTED))
+def test_accepted_witness_text_per_shape(fermat5, shape):
+    prop, target, parts, text = ACCEPTED[shape]
+    assert {c.shape for s in WITNESS_SPECS.values() for c in s.clauses} == set(ACCEPTED)
+    v = _witness_case(fermat5, prop, target, parts)
+    assert render_verdict(v) == text.format(policy=_POLICY)
+
+
+REJECTED = {
+    "wrong part count": (
+        "P4.4",
+        "H + L[01|23](0,0) + L[02|13](0,1)",
+        ["L[01|23](0,0)", "L[02|13](0,1)", "L[01|23](0,4)"],
+        """CONDITIONAL rule=P4.4
+{policy}
+  check target (deg, genus): (7, 6) (expected (7, 6))
+  note clause Prop4.4(b) not satisfied
+  check witness shape: 3 parts (expected 2 lines)
+  note witness rejected; the verdict stays conditional""",
+    ),
+    "no plane quartic": (
+        "P4.8",
+        "H - L[02|13](0,0) + L[01|23](0,0)",
+        ["L[01|23](0,0)", "L[02|13](0,0)"],
+        """CONDITIONAL rule=P4.8
+{policy}
+  check target (deg, genus): (5, 2) (expected (5, 2))
+  note clause Prop4.8(b) not satisfied
+  check some part is a plane quartic: none with deg 4, genus 3 (expected deg 4, genus 3)
+  note clause Prop4.8(b) not satisfied
+  check some part is a plane quartic: none with deg 4, genus 3 (expected deg 4, genus 3)
+  note witness rejected; the verdict stays conditional""",
+    ),
+    "a failing product": (
+        "P4.4",
+        "H + L[01|23](0,0) + L[02|13](0,1)",
+        ["L[01|23](0,0)", "L[02|13](0,0)"],
+        """CONDITIONAL rule=P4.4
+{policy}
+  check target (deg, genus): (7, 6) (expected (7, 6))
+  note clause Prop4.4(b) not satisfied
+  check Gamma1 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma2 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma1.Gamma2: 1 (expected 0)
+  check witness sum lies in |D-C|: L[01|23](0,0) + L[02|13](0,0) (expected L[01|23](0,0) + L[02|13](0,1))
+  note witness rejected; the verdict stays conditional""",
+    ),
+    "a wrong sum": (
+        "P4.4",
+        "H + L[01|23](0,0) + L[02|13](0,1)",
+        ["L[01|23](0,0)", "L[02|13](0,2)"],
+        """CONDITIONAL rule=P4.4
+{policy}
+  check target (deg, genus): (7, 6) (expected (7, 6))
+  note clause Prop4.4(b) not satisfied
+  check Gamma1 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma2 is a line: deg 1, genus 0 (expected deg 1, genus 0)
+  check Gamma1.Gamma2: 0 (expected 0)
+  check witness sum lies in |D-C|: L[01|23](0,0) + L[02|13](0,2) (expected L[01|23](0,0) + L[02|13](0,1))
+  note witness rejected; the verdict stays conditional""",
+    ),
+    # every degree-1 part fails as Gamma1; the last one tried is reported
+    "no degree-1 part passes": (
+        "P4.7",
+        "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)",
+        ["L[01|23](0,0)", "L[02|13](0,1)", "L[01|23](0,1)"],
+        """CONDITIONAL rule=P4.7
+{policy}
+  check target (deg, genus): (7, 5) (expected (7, 5))
+  note clause Prop4.7(b) not satisfied
+  check Gamma1^2: -3 (expected -3)
+  check deg Gamma2: 2 (expected 2)
+  check Gamma2^2: -6 (expected -4)
+  check Gamma1.Gamma2: 2 (expected 0)
+  note witness rejected; the verdict stays conditional""",
+    ),
+    "no degree-1 part": (
+        "P4.7",
+        "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)",
+        ["H - L[01|23](0,0)", "H - L[02|13](0,1)"],
+        """CONDITIONAL rule=P4.7
+{policy}
+  check target (deg, genus): (7, 5) (expected (7, 5))
+  note clause Prop4.7(b) not satisfied
+  check witness shape: no degree-1 part (expected line + degree-2 divisor)
+  note witness rejected; the verdict stays conditional""",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(REJECTED))
+def test_rejected_witness_text_per_failure(fermat5, branch):
+    prop, target, parts, text = REJECTED[branch]
+    v = _witness_case(fermat5, prop, target, parts)
+    assert render_verdict(v) == text.format(policy=_POLICY)
+
+
+# one documented target per rule: (model degree, target, witness found, clause)
+SEARCH_TARGETS = {
+    "P2.2": (4, "H + L[01|23](0,0) + L[02|13](0,1)",
+             "L[01|23](0,0) | L[02|13](0,1)", "Prop2.2(b)"),
+    "P4.4": (5, "H + L[01|23](0,0) + L[02|13](0,1)",
+             "L[01|23](0,0) | L[02|13](0,1)", "Prop4.4(b)"),
+    "P4.5": (5, "H + L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) + L[01|23](1,0) "
+                "+ L[01|23](2,1)",
+             "L[01|23](0,0) | L[01|23](0,1) | L[01|23](0,2) | L[01|23](1,0) | L[01|23](2,1)",
+             "Prop4.5(b)"),
+    "P4.6": (5, "H - L[03|12](4,0) + L[01|23](0,0) + L[02|13](0,1)",
+             "H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Prop4.6(b2)"),
+    # the liaison partner of the P4.6 target under 3H
+    "C4.2": (5, "2*H + L[03|12](4,0) - L[01|23](0,0) - L[02|13](0,1)",
+             "H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Cor4.2(b2)"),
+    "P4.7": (5, "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)",
+             "L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Prop4.7(b)"),
+    "C4.3": (5, "H + L[01|23](0,0) + L[02|13](0,1) + L[02|13](0,2)",
+             "L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Cor4.3(b)"),
+    "P4.8": (5, "H - L[02|13](0,0) + L[01|23](0,0)",
+             "H - L[02|13](0,0) | L[01|23](0,0)", "Prop4.8(b)"),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(WITNESS_SPECS))
+def test_search_witness_every_rule(fermat4, fermat5, prop):
+    d, text, witness, label = SEARCH_TARGETS[prop]
+    target = (fermat4 if d == 4 else fermat5).parse(text)
+    found = search_witness(prop, target)
+    assert str(found) == witness
+    v = check_witness(prop, target, found)
+    assert v.status is Status.NOT_ACM and v.rule == label
