@@ -8,11 +8,22 @@ check_witness verifies a proposed decomposition against the numeric clauses
 of the matching equivalence rule, and search_witness enumerates candidate
 decompositions over a model's registered effective classes.
 
+Each clause of a rule names a twist of the target (TWISTS: a multiple of
+H plus or minus D) and a shape (SHAPES).  A Shape is data: the allowed
+part counts, an optional lead role (a plane quartic Dtilde, or a line
+Gamma1 tried part by part), the remaining parts as named lines or as one
+summed role, and the required products.  One interpreter, _match, reads
+every shape into the verdict trace, and the same record tells the search
+which candidates to build: a Dtilde lead scans the plane quartics H - L
+with a line residual, other line roles read the twist as a nonnegative
+line vector, and a shape with no roles takes the effectivity certificate.
+
 Soundness policy: absence of a witness never upgrades CONDITIONAL to ACM,
 because emptiness of the relevant linear systems is not decidable from
 lattice data; only the tabulated pairs receive an unconditional ACM.
 """
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -235,8 +246,8 @@ def _classify_quartic(deg, g):
 @dataclass(frozen=True)
 class ClauseSpec:
     clause_id: str
-    shape: str  # see _SHAPE_MATCHERS
-    twist: str  # D | D-C | 2C-D | 3C-D
+    shape: str  # key of SHAPES
+    twist: str  # key of TWISTS
 
 
 @dataclass(frozen=True)
@@ -302,210 +313,134 @@ WITNESS_SPECS = {
 }
 
 
+# twist tag -> (multiple of H, sign of D): the twist is m*H + s*D
+TWISTS = {"D": (0, 1), "D-C": (-1, 1), "2C-D": (2, -1), "3C-D": (3, -1)}
+
+
 def _twist_class(tag, target):
-    H = target.model.hyperplane_class
-    if tag == "D":
-        return target
-    if tag == "D-C":
-        return target - H
-    if tag == "2C-D":
-        return 2 * H - target
-    if tag == "3C-D":
-        return 3 * H - target
-    raise ValueError(f"unknown twist tag {tag!r}")
+    m, s = TWISTS[tag]
+    return m * target.model.hyperplane_class + s * target
 
 
-_TWIST_TEXT = {"D": "|D|", "D-C": "|D-C|", "2C-D": "|2C-D|", "3C-D": "|3C-D|"}
+@dataclass(frozen=True)
+class Shape:
+    """Numerical shape of a witness decomposition, read by _match.
+
+    The lead role is picked first: "Dtilde" is the first part that is a
+    plane quartic (deg 4, genus 3), "Gamma1" each degree-1 part in turn
+    until one passes.  The other parts are then either named one by one
+    in `lines`, each of which must be a line, or summed into the single
+    role `rest`.  A product (a, b, expected) is a.b, or a^2 when a == b,
+    or deg a when b is None.  The sum of all parts must lie in the
+    clause's twist.
+    """
+
+    counts: range  # allowed numbers of parts
+    text: str  # the expected shape, as the trace prints it
+    lead: str | None = None
+    lines: tuple = ()
+    rest: str | None = None
+    products: tuple = ()
 
 
-def _is_line(cls):
-    return degree(cls) == 1 and genus(cls) == 0
+_MANY = sys.maxsize
 
-
-def _sum_check(parts, twist, tag, trace):
-    total = parts[0].model.zero_class()
-    for p in parts:
-        total = total + p
-    ok = total == twist
-    trace.append(
-        TraceLine(f"witness sum lies in {_TWIST_TEXT[tag]}", str(total), str(twist), ok)
-    )
-    return ok
-
-
-def _match_two_skew_lines(parts, twist, tag, trace):
-    if len(parts) != 2:
-        trace.append(TraceLine("witness shape", f"{len(parts)} parts", "2 lines", False))
-        return False
-    ok = True
-    for i, p in enumerate(parts, 1):
-        good = _is_line(p)
-        trace.append(
-            TraceLine(
-                f"Gamma{i} is a line",
-                f"deg {degree(p)}, genus {genus(p)}",
-                "deg 1, genus 0",
-                good,
-            )
-        )
-        ok = ok and good
-    prod = pair(parts[0], parts[1])
-    trace.append(TraceLine("Gamma1.Gamma2", prod, 0, prod == 0))
-    ok = ok and prod == 0
-    return _sum_check(parts, twist, tag, trace) and ok
-
-
-def _pick_quartic(parts):
-    for i, p in enumerate(parts):
-        if degree(p) == 4 and genus(p) == 3:
-            return i
-    return None
-
-
-def _match_quartic_plus_two_skew_lines(parts, twist, tag, trace):
-    if len(parts) != 3:
-        trace.append(
-            TraceLine("witness shape", f"{len(parts)} parts", "plane quartic + 2 lines", False)
-        )
-        return False
-    qi = _pick_quartic(parts)
-    trace.append(
-        TraceLine(
-            "some part is a plane quartic",
-            "found" if qi is not None else "none with deg 4, genus 3",
-            "deg 4, genus 3",
-            qi is not None,
-        )
-    )
-    if qi is None:
-        return False
-    rest = [p for i, p in enumerate(parts) if i != qi]
-    ok = True
-    for i, p in enumerate(rest, 1):
-        good = _is_line(p)
-        trace.append(
-            TraceLine(
-                f"Gamma{i} is a line",
-                f"deg {degree(p)}, genus {genus(p)}",
-                "deg 1, genus 0",
-                good,
-            )
-        )
-        ok = ok and good
-    prod = pair(rest[0], rest[1])
-    trace.append(TraceLine("Gamma1.Gamma2", prod, 0, prod == 0))
-    ok = ok and prod == 0
-    return _sum_check(parts, twist, tag, trace) and ok
-
-
-def _match_quartic_plus_conic(parts, twist, tag, trace):
-    if len(parts) < 2:
-        trace.append(
-            TraceLine("witness shape", f"{len(parts)} parts", "plane quartic + conic", False)
-        )
-        return False
-    qi = _pick_quartic(parts)
-    trace.append(
-        TraceLine(
-            "some part is a plane quartic",
-            "found" if qi is not None else "none with deg 4, genus 3",
-            "deg 4, genus 3",
-            qi is not None,
-        )
-    )
-    if qi is None:
-        return False
-    delta = None
-    for i, p in enumerate(parts):
-        if i != qi:
-            delta = p if delta is None else delta + p
-    dd = pair(delta, delta)
-    trace.append(TraceLine("Delta^2", dd, -4, dd == -4))
-    ddeg = degree(delta)
-    trace.append(TraceLine("deg Delta", ddeg, 2, ddeg == 2))
-    ok = dd == -4 and ddeg == 2
-    return _sum_check(parts, twist, tag, trace) and ok
-
-
-def _match_line_plus_conic(parts, twist, tag, trace):
-    # one part of degree 1 plays Gamma1; the rest sum to Gamma2
-    for gi in range(len(parts)):
-        g1 = parts[gi]
-        if degree(g1) != 1:
-            continue
-        g2 = None
-        for i, p in enumerate(parts):
-            if i != gi:
-                g2 = p if g2 is None else g2 + p
-        if g2 is None:
-            continue
-        sub = []
-        c1 = pair(g1, g1)
-        sub.append(TraceLine("Gamma1^2", c1, -3, c1 == -3))
-        d2 = degree(g2)
-        sub.append(TraceLine("deg Gamma2", d2, 2, d2 == 2))
-        c2 = pair(g2, g2)
-        sub.append(TraceLine("Gamma2^2", c2, -4, c2 == -4))
-        prod = pair(g1, g2)
-        sub.append(TraceLine("Gamma1.Gamma2", prod, 0, prod == 0))
-        if all(t.ok for t in sub):
-            trace.extend(sub)
-            return _sum_check(parts, twist, tag, trace)
-        if gi == len(parts) - 1 or all(degree(p) != 1 for p in parts[gi + 1 :]):
-            trace.extend(sub)
-            return False
-    trace.append(
-        TraceLine("witness shape", "no degree-1 part", "line + degree-2 divisor", False)
-    )
-    return False
-
-
-def _match_quartic_plus_line(parts, twist, tag, trace):
-    if len(parts) != 2:
-        trace.append(
-            TraceLine("witness shape", f"{len(parts)} parts", "plane quartic + line", False)
-        )
-        return False
-    qi = _pick_quartic(parts)
-    trace.append(
-        TraceLine(
-            "some part is a plane quartic",
-            "found" if qi is not None else "none with deg 4, genus 3",
-            "deg 4, genus 3",
-            qi is not None,
-        )
-    )
-    if qi is None:
-        return False
-    dt, gamma = parts[qi], parts[1 - qi]
-    good = _is_line(gamma)
-    trace.append(
-        TraceLine(
-            "Gamma is a line",
-            f"deg {degree(gamma)}, genus {genus(gamma)}",
-            "deg 1, genus 0",
-            good,
-        )
-    )
-    prod = pair(dt, gamma)
-    trace.append(TraceLine("Dtilde.Gamma", prod, 0, prod == 0))
-    ok = good and prod == 0
-    return _sum_check(parts, twist, tag, trace) and ok
-
-
-def _match_effective_sum(parts, twist, tag, trace):
+SHAPES = {
+    "two_skew_lines": Shape(
+        range(2, 3), "2 lines",
+        lines=("Gamma1", "Gamma2"),
+        products=(("Gamma1", "Gamma2", 0),),
+    ),
+    "quartic_plus_two_skew_lines": Shape(
+        range(3, 4), "plane quartic + 2 lines", "Dtilde",
+        lines=("Gamma1", "Gamma2"),
+        products=(("Gamma1", "Gamma2", 0),),
+    ),
+    "quartic_plus_conic": Shape(
+        range(2, _MANY), "plane quartic + conic", "Dtilde",
+        rest="Delta",
+        products=(("Delta", "Delta", -4), ("Delta", None, 2)),
+    ),
+    "line_plus_conic": Shape(
+        range(2, _MANY), "line + degree-2 divisor", "Gamma1",
+        rest="Gamma2",
+        products=(
+            ("Gamma1", "Gamma1", -3),
+            ("Gamma2", None, 2),
+            ("Gamma2", "Gamma2", -4),
+            ("Gamma1", "Gamma2", 0),
+        ),
+    ),
+    "quartic_plus_line": Shape(
+        range(2, 3), "plane quartic + line", "Dtilde",
+        lines=("Gamma",),
+        products=(("Dtilde", "Gamma", 0),),
+    ),
     # parts were already certified effective; only the sum matters here
-    return _sum_check(parts, twist, tag, trace)
-
-
-_SHAPE_MATCHERS = {
-    "two_skew_lines": _match_two_skew_lines,
-    "quartic_plus_two_skew_lines": _match_quartic_plus_two_skew_lines,
-    "quartic_plus_conic": _match_quartic_plus_conic,
-    "line_plus_conic": _match_line_plus_conic,
-    "quartic_plus_line": _match_quartic_plus_line,
-    "effective_sum": _match_effective_sum,
+    "effective_sum": Shape(range(1, _MANY), "effective classes"),
 }
+
+
+def _role_checks(shape, parts, lead):
+    """Trace lines of the line roles and the products, lead at parts[lead]."""
+    roles = {} if lead is None else {shape.lead: parts[lead]}
+    others = [p for i, p in enumerate(parts) if i != lead]
+    checks = []
+    for name, p in zip(shape.lines, others):
+        d, g = degree(p), genus(p)
+        good = (d, g) == (1, 0)
+        checks.append(
+            TraceLine(f"{name} is a line", f"deg {d}, genus {g}", "deg 1, genus 0", good)
+        )
+        roles[name] = p
+    if shape.rest is not None:
+        roles[shape.rest] = sum(others[1:], others[0])
+    for a, b, want in shape.products:
+        if b is None:
+            name, value = f"deg {a}", degree(roles[a])
+        else:
+            name, value = (f"{a}^2" if a == b else f"{a}.{b}"), pair(roles[a], roles[b])
+        checks.append(TraceLine(name, value, want, value == want))
+    return checks
+
+
+def _match(shape, parts, twist, tag, trace):
+    """Whether the parts fit the shape and sum to twist; the checks go to trace."""
+    if len(parts) not in shape.counts:
+        trace.append(TraceLine("witness shape", f"{len(parts)} parts", shape.text, False))
+        return False
+    leads = [None]
+    if shape.lead == "Dtilde":
+        qi = next((i for i, p in enumerate(parts) if degree(p) == 4 and genus(p) == 3), None)
+        trace.append(
+            TraceLine(
+                "some part is a plane quartic",
+                "found" if qi is not None else "none with deg 4, genus 3",
+                "deg 4, genus 3",
+                qi is not None,
+            )
+        )
+        if qi is None:
+            return False
+        leads = [qi]
+    elif shape.lead == "Gamma1":
+        leads = [i for i, p in enumerate(parts) if degree(p) == 1]
+        if not leads:
+            trace.append(TraceLine("witness shape", "no degree-1 part", shape.text, False))
+            return False
+    for lead in leads:
+        checks = _role_checks(shape, parts, lead)
+        ok = all(t.ok for t in checks)
+        if ok:
+            break
+    trace.extend(checks)  # those of the passing lead, else of the last one tried
+    if not ok and shape.lead == "Gamma1":
+        # a Gamma1 lead only counts together with its products
+        return False
+    total = sum(parts[1:], parts[0])
+    in_twist = total == twist
+    trace.append(TraceLine(f"witness sum lies in |{tag}|", str(total), str(twist), in_twist))
+    return in_twist and ok
 
 
 def _witness_spec(prop_id):
@@ -566,7 +501,7 @@ def check_witness(prop_id, target, witness):
     for clause in spec.clauses:
         sub = []
         twist = _twist_class(clause.twist, target)
-        matched = _SHAPE_MATCHERS[clause.shape](parts, twist, clause.twist, sub)
+        matched = _match(SHAPES[clause.shape], parts, twist, clause.twist, sub)
         label = f"{spec.display}({clause.clause_id})"
         if matched:
             trace.append(TraceLine(f"clause {label} satisfied"))
@@ -607,10 +542,9 @@ def search_witness(prop_id, target, bound=None):
         return None
     if (degree(target), genus(target)) != (spec.deg, spec.genus):
         return None
-    H = model.hyperplane_class
     for clause in spec.clauses:
         twist = _twist_class(clause.twist, target)
-        for cand in _candidates(clause, twist, model, H):
+        for cand in _candidates(SHAPES[clause.shape], twist):
             if bound is not None and degree(cand.total) > bound:
                 continue
             if check_witness(prop_id, target, cand).status is Status.NOT_ACM:
@@ -618,23 +552,22 @@ def search_witness(prop_id, target, bound=None):
     return None
 
 
-def _candidates(clause, twist, model, H):
-    shape = clause.shape
-    if shape in ("two_skew_lines", "line_plus_conic"):
-        parts = _line_parts_from(twist)
-        if parts is not None:
-            yield Decomposition(parts)
-        return
-    if shape in ("quartic_plus_two_skew_lines", "quartic_plus_conic", "quartic_plus_line"):
-        for i, name in enumerate(model.generators[1:], start=1):
+def _candidates(shape, twist):
+    """Witnesses to try for one clause, read off the clause's shape."""
+    model = twist.model
+    if shape.lead == "Dtilde":
+        # a plane quartic H - L, and lines for the rest
+        H = model.hyperplane_class
+        for name in model.generators[1:]:
             quartic = H - model.gen_class(name)
             rest = _line_parts_from(twist - quartic)
             if rest is not None:
                 yield Decomposition(((quartic, 1),) + rest)
-        return
-    if shape == "effective_sum":
+    elif shape.lead or shape.lines:
+        parts = _line_parts_from(twist)
+        if parts is not None:
+            yield Decomposition(parts)
+    else:
         cert = certify_effective(twist)
         if cert.ok and cert.parts:
             yield Decomposition(cert.parts)
-        return
-    raise AssertionError(f"unhandled shape {shape}")

@@ -36,23 +36,19 @@ from .repro import (
 )
 from .surfaces import (
     BUILTIN_NAMES,
+    MODEL_NAMES,
     SurfaceError,
     builtin_model,
     fermat_model,
     load_model,
     model_validate,
+    named_model,
 )
-
-MODEL_NAMES = ("fermat4", "fermat5") + BUILTIN_NAMES
 
 
 def _resolve_model(name):
-    if name == "fermat4":
-        return fermat_model(4)
-    if name == "fermat5":
-        return fermat_model(5)
-    if name in BUILTIN_NAMES:
-        return builtin_model(name)
+    if name in MODEL_NAMES:
+        return named_model(name)
     # anything else is a custom model document (path or JSON text)
     return load_model(name)
 

@@ -21,6 +21,7 @@ import re
 
 from .cyclo import rational, zeta
 from .geometry import Line
+from .surfaces import SurfaceError
 
 
 class ParseError(ValueError):
@@ -257,11 +258,9 @@ def parse_divisor(text, model):
         if not term:
             raise ParseError("a bare integer is not a divisor term; name a generator")
         try:
-            idx = model.generators.index(term)
-        except ValueError:
-            raise ParseError(
-                f"unknown generator {term!r}; valid names: {', '.join(model.generators)}"
-            ) from None
+            idx = model.index(term)
+        except SurfaceError as exc:
+            raise ParseError(str(exc)) from None
         coeffs[idx] += sign * mult
     return model.class_of(coeffs)
 

@@ -25,7 +25,7 @@ from .divisors import (
     pair,
 )
 from .geometry import Line, line_on_fermat, lines_meet
-from .surfaces import SurfaceModel, builtin_model, fermat_model
+from .surfaces import SurfaceModel, named_model
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,7 @@ def _claim(claims, description, computed, expected, note=""):
 def _model(models, key):
     if models and key in models:
         return models[key]
-    if key == "fermat5":
-        return fermat_model(5)
-    if key == "fermat4":
-        return fermat_model(4)
-    return builtin_model(key)
+    return named_model(key)
 
 
 def _quintic_span_model(deg, g):

@@ -55,6 +55,13 @@ class SurfaceModel:
         for i, name in enumerate(self.generators):
             positions.setdefault(name, i)
         object.__setattr__(self, "_positions", positions)
+        # checked once here, so that hyperplane_class and canonical_class
+        # (read by every degree, genus and chi) skip DivClass validation.
+        # The model stores no DivClass: a class refers to its model, and that
+        # cycle would keep each discarded model alive until the cyclic
+        # collector runs, raising peak memory over repeated fresh builds.
+        for field in ("hyperplane", "canonical"):
+            object.__setattr__(self, field, tuple(int(v) for v in getattr(self, field)))
 
     @property
     def ngens(self):
@@ -80,11 +87,11 @@ class SurfaceModel:
 
     @property
     def hyperplane_class(self):
-        return self.class_of(self.hyperplane)
+        return _class(self, self.hyperplane)
 
     @property
     def canonical_class(self):
-        return self.class_of(self.canonical)
+        return _class(self, self.canonical)
 
     def parse(self, text):
         from .exprs import parse_divisor
@@ -243,6 +250,18 @@ def builtin_model(name):
             gen_genus=((d - 1) * (d - 2) // 2,),
         )
     raise SurfaceError(f"unknown builtin model {name!r}; choose from {BUILTIN_NAMES}")
+
+
+MODEL_NAMES = ("fermat4", "fermat5") + BUILTIN_NAMES
+
+
+def named_model(name):
+    """The cached model one of MODEL_NAMES denotes."""
+    if name in ("fermat4", "fermat5"):
+        return fermat_model(int(name[-1]))
+    if name in BUILTIN_NAMES:
+        return builtin_model(name)
+    raise SurfaceError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
 
 def load_model(source):

@@ -18,6 +18,7 @@ from acmcurves.classify import (
     verdict_json,
 )
 from acmcurves.divisors import Decomposition, degree, genus, link, pair
+from witness_targets import TARGETS
 
 
 def test_classify_numeric_acm_examples():
@@ -497,34 +498,25 @@ def test_rejected_witness_text_per_failure(fermat5, branch):
     assert render_verdict(v) == text.format(policy=_POLICY)
 
 
-# one documented target per rule: (model degree, target, witness found, clause)
-SEARCH_TARGETS = {
-    "P2.2": (4, "H + L[01|23](0,0) + L[02|13](0,1)",
-             "L[01|23](0,0) | L[02|13](0,1)", "Prop2.2(b)"),
-    "P4.4": (5, "H + L[01|23](0,0) + L[02|13](0,1)",
-             "L[01|23](0,0) | L[02|13](0,1)", "Prop4.4(b)"),
-    "P4.5": (5, "H + L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) + L[01|23](1,0) "
-                "+ L[01|23](2,1)",
-             "L[01|23](0,0) | L[01|23](0,1) | L[01|23](0,2) | L[01|23](1,0) | L[01|23](2,1)",
+# the witness search_witness finds on each documented target, and its clause
+SEARCH_FINDS = {
+    "P2.2": ("L[01|23](0,0) | L[02|13](0,1)", "Prop2.2(b)"),
+    "P4.4": ("L[01|23](0,0) | L[02|13](0,1)", "Prop4.4(b)"),
+    "P4.5": ("L[01|23](0,0) | L[01|23](0,1) | L[01|23](0,2) | L[01|23](1,0) | L[01|23](2,1)",
              "Prop4.5(b)"),
-    "P4.6": (5, "H - L[03|12](4,0) + L[01|23](0,0) + L[02|13](0,1)",
-             "H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Prop4.6(b2)"),
-    # the liaison partner of the P4.6 target under 3H
-    "C4.2": (5, "2*H + L[03|12](4,0) - L[01|23](0,0) - L[02|13](0,1)",
-             "H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Cor4.2(b2)"),
-    "P4.7": (5, "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)",
-             "L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Prop4.7(b)"),
-    "C4.3": (5, "H + L[01|23](0,0) + L[02|13](0,1) + L[02|13](0,2)",
-             "L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Cor4.3(b)"),
-    "P4.8": (5, "H - L[02|13](0,0) + L[01|23](0,0)",
-             "H - L[02|13](0,0) | L[01|23](0,0)", "Prop4.8(b)"),
+    "P4.6": ("H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Prop4.6(b2)"),
+    "C4.2": ("H - L[03|12](4,0) | L[01|23](0,0) | L[02|13](0,1)", "Cor4.2(b2)"),
+    "P4.7": ("L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Prop4.7(b)"),
+    "C4.3": ("L[01|23](0,0) | L[02|13](0,1) | L[02|13](0,2)", "Cor4.3(b)"),
+    "P4.8": ("H - L[02|13](0,0) | L[01|23](0,0)", "Prop4.8(b)"),
 }
 
 
 @pytest.mark.parametrize("prop", sorted(WITNESS_SPECS))
 def test_search_witness_every_rule(fermat4, fermat5, prop):
-    d, text, witness, label = SEARCH_TARGETS[prop]
-    target = (fermat4 if d == 4 else fermat5).parse(text)
+    model, text = TARGETS[prop]
+    witness, label = SEARCH_FINDS[prop]
+    target = (fermat4 if model == "fermat4" else fermat5).parse(text)
     found = search_witness(prop, target)
     assert str(found) == witness
     v = check_witness(prop, target, found)

@@ -10,28 +10,16 @@ from pathlib import Path
 import pytest
 
 from acmcurves.cli import main
+from witness_targets import TARGETS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-# one target per witness rule: (model, target expression)
-WITNESS_TARGETS = {
-    "P2.2": ("fermat4", "H + L[01|23](0,0) + L[02|13](0,1)"),
-    "P4.4": ("fermat5", "H + L[01|23](0,0) + L[02|13](0,1)"),
-    "P4.5": ("fermat5", "H + L[01|23](0,0) + L[01|23](0,1) + L[01|23](0,2) "
-                        "+ L[01|23](1,0) + L[01|23](2,1)"),
-    "P4.6": ("fermat5", "H - L[03|12](4,0) + L[01|23](0,0) + L[02|13](0,1)"),
-    "C4.2": ("fermat5", "2*H + L[03|12](4,0) - L[01|23](0,0) - L[02|13](0,1)"),
-    "P4.7": ("fermat5", "2*H - L[01|23](0,0) - L[02|13](0,1) - L[02|13](0,2)"),
-    "C4.3": ("fermat5", "H + L[01|23](0,0) + L[02|13](0,1) + L[02|13](0,2)"),
-    "P4.8": ("fermat5", "H - L[02|13](0,0) + L[01|23](0,0)"),
-}
 
 GOLDEN = {
     "repro_all.txt": ["repro", "all"],
     "repro_all.json": ["repro", "all", "--json"],
     "model_show_fermat5.txt": ["model", "show", "fermat5"],
 }
-for _prop, (_model, _target) in WITNESS_TARGETS.items():
+for _prop, (_model, _target) in TARGETS.items():
     _argv = ["witness", "search", "--prop", _prop, "--target", _target, "--model", _model]
     GOLDEN[f"witness_{_prop}.txt"] = _argv
     GOLDEN[f"witness_{_prop}.json"] = _argv + ["--json"]

@@ -1,19 +1,23 @@
 """Surface models: Fermat atlases, builtin lattices, validation."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
 from acmcurves import surfaces
-from acmcurves.divisors import genus, pair
+from acmcurves.divisors import DivClass, chi, degree, genus, pair
 from acmcurves.geometry import Incidence, line_on_fermat, lines_meet
 from acmcurves.surfaces import (
+    BUILTIN_NAMES,
     SurfaceError,
     SurfaceModel,
     build_fermat_model,
     builtin_model,
     load_model,
     model_validate,
+    named_model,
 )
 
 
@@ -129,6 +133,42 @@ def test_builtin_generic():
 def test_builtin_unknown_name():
     with pytest.raises(SurfaceError):
         builtin_model("septic")
+
+
+def test_named_model_resolves_every_name(fermat5, fermat4):
+    assert named_model("fermat5") is fermat5
+    assert named_model("fermat4") is fermat4
+    for name in BUILTIN_NAMES:
+        assert named_model(name) is builtin_model(name)
+    with pytest.raises(SurfaceError, match="unknown model 'fermat6'"):
+        named_model("fermat6")
+
+
+def test_hyperplane_and_canonical_classes_skip_validation(fermat5, monkeypatch):
+    # `model show` prints both; tests/golden/model_show_fermat5.txt pins that output
+    d = fermat5.parse("2*H - L[01|23](0,0) - L[02|13](0,1)")
+    want = (degree(d), genus(d), chi(d))
+    validated = []
+    real = DivClass.__post_init__
+    monkeypatch.setattr(DivClass, "__post_init__", lambda c: validated.append(c) or real(c))
+    for m in (fermat5, builtin_model("cubic_delpezzo")):
+        assert m.hyperplane_class.coeffs == m.hyperplane
+        assert m.canonical_class.coeffs == m.canonical
+    assert (degree(d), genus(d), chi(d)) == want
+    assert validated == []
+
+
+def test_a_discarded_model_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        m = SurfaceModel("span", "custom", 5, ("H", "Dt"), ((5, 5), (5, -5)),
+                         (1, 0), (1, 0), 5, (6, 1))
+        assert (degree(m.hyperplane_class), genus(m.gen_class("Dt"))) == (5, 1)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_validate_fermat_models(fermat5, fermat4):
