@@ -13,6 +13,16 @@ and _mul work on raw numerator tuples; CycNum calls them directly.  _mul is
 one _convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
 modulo Phi_n; the exact zero tests in geometry convolve many products into
 one buffer and fold it once.
+
+Residues.  RESIDUE_PRIME = P = 10*L + 1 with L = lcm(1, ..., 40) is a prime,
+and RESIDUE_ROOT = W = 47^10 mod P has multiplicative order exactly L.  So
+for every supported order n, W^(L/n) is a primitive n-th root of unity in
+F_P, hence a root of Phi_n there, and z -> W^(L/n) is a ring homomorphism
+Z[zeta_n] -> F_P.  Lifting z_m to z_n^(n/m) maps to W^(L/n * n/m) = W^(L/m),
+so the maps of all orders agree and residues of different orders need no
+lifting.  _residue applies the map to an integer numerator tuple; it never
+divides mod P.  A ring map sends 0 to 0, so a nonzero residue proves that
+the element is nonzero; a zero residue proves nothing.
 """
 
 from fractions import Fraction
@@ -21,6 +31,11 @@ from math import gcd, lcm
 import cmath
 
 MAX_ORDER = 40
+
+# P = 10*lcm(1..40) + 1, a prime, and W = 47^10 mod P, of multiplicative
+# order exactly lcm(1..40) (checked in tests/test_cyclo.py)
+RESIDUE_PRIME = 53_429_314_570_632_001
+RESIDUE_ROOT = 52_599_132_235_830_049
 
 
 class OrderError(ValueError):
@@ -88,7 +103,9 @@ def cyclotomic_polynomial(n):
 class CycOrder:
     """Precomputed reduction data for one cyclotomic order."""
 
-    __slots__ = ("n", "phi", "minpoly", "red_rows", "power_rows", "trace_vec")
+    __slots__ = (
+        "n", "phi", "minpoly", "red_rows", "power_rows", "trace_vec", "residue_powers"
+    )
 
     def __init__(self, n):
         _check_order(n)
@@ -122,6 +139,9 @@ class CycOrder:
             m = n // gcd(n, i) if i else 1
             traces.append(Fraction(mobius(m), totient(m)))
         self.trace_vec = tuple(traces)
+        # images of z^u, u < phi, under z -> W^(L/n) in F_P
+        step = pow(RESIDUE_ROOT, lcm(*range(1, MAX_ORDER + 1)) // n, RESIDUE_PRIME)
+        self.residue_powers = tuple(pow(step, u, RESIDUE_PRIME) for u in range(phi))
 
 
 @lru_cache(maxsize=None)
@@ -189,6 +209,11 @@ def _mul(anums, aden, bnums, bden, red_rows):
     conv = [0] * (2 * len(anums) - 1)
     _convolve(conv, anums, bnums, 1)
     return _normalize(_fold(conv, red_rows), aden * bden)
+
+
+def _residue(nums, order):
+    """Image in F_P of the integer element with these numerators at this order."""
+    return sum(c * w for c, w in zip(nums, order.residue_powers)) % RESIDUE_PRIME
 
 
 def _wrap(n, nums, den):

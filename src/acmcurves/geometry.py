@@ -21,6 +21,17 @@ the stacked canonical forms along its first two rows, so it equals that
 determinant exactly.  A zero pairing means SAME or MEET, told apart by
 comparing the canonical matrices; a nonzero pairing means SKEW.
 
+Most pairs are skew, and one residue proves it.  Each line also carries the
+image of its Plücker coordinates in F_P under the ring map of cyclo (see
+RESIDUE_PRIME), after scaling all six by the lcm of their denominators.
+That lcm is a positive integer, so the scaled coordinates are the same
+point of P^5 and have integer numerators, which the map takes without any
+division mod P.  The pairing of the two images is the image of the pairing
+of the scaled coordinates, a nonzero integer multiple of the exact pairing;
+a ring map sends 0 to 0, so a nonzero image proves SKEW.  A zero image, which
+every meeting pair has and a skew pair may have, falls through to the exact
+pairing, so MEET and SAME are decided by exact arithmetic only.
+
 Membership in the Fermat surface of degree d is decided from the pivot
 rows: with a_r, b_r the entries of pivot row r in the two free columns,
 the coefficient of s^j t^(d-j) of the restricted form is C(d,j) times
@@ -30,15 +41,17 @@ powers taken at the line's own order.
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import (
+    RESIDUE_PRIME,
     _coerce,
     _common_order,
     _convolve,
     _fold,
     _mul,
     _normalize,
+    _residue,
     _wrap,
     get_order,
     rational,
@@ -89,8 +102,12 @@ def _rref(rows):
         if src is None:
             continue
         rows[r], rows[src] = rows[src], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+        pivot = rows[r][c]
+        # a pivot that is already 1 (every atlas form) needs no scaling;
+        # read off the coefficients, since == 1 would lift the 1
+        if pivot.den != 1 or pivot.nums[0] != 1 or any(pivot.nums[1:]):
+            inv = pivot.inverse()
+            rows[r] = [v * inv for v in rows[r]]
         for i in range(nrows):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
@@ -108,9 +125,10 @@ PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 class Line:
     """A line in P^3, canonicalized as a rank-2 RREF 2x4 matrix, with its
-    Plücker coordinates in the order of PLUCKER_INDICES."""
+    Plücker coordinates in the order of PLUCKER_INDICES and their residues
+    mod RESIDUE_PRIME, scaled to integers by one common factor."""
 
-    __slots__ = ("rows", "pivots", "plucker")
+    __slots__ = ("rows", "pivots", "plucker", "image")
 
     def __init__(self, f1, f2):
         if not isinstance(f1, LinearForm):
@@ -132,6 +150,10 @@ class Line:
         self.plucker = tuple(
             _wrap(n, *_normalize(*_dot(((1, r0[i], r1[j]), (-1, r0[j], r1[i])), order)))
             for i, j in PLUCKER_INDICES
+        )
+        scale = lcm(*(p.den for p in self.plucker))
+        self.image = tuple(
+            _residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in self.plucker
         )
 
     def points(self):
@@ -229,6 +251,10 @@ def _plucker_pairing(a, b):
 
 def lines_meet(a, b):
     """SAME, MEET (one common point) or SKEW for two lines in P^3."""
+    p, q = a.image, b.image
+    if (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1]
+            + p[5] * q[0]) % RESIDUE_PRIME:
+        return Incidence.SKEW
     if any(_pairing_numerators(a, b)[1]):
         return Incidence.SKEW
     return Incidence.SAME if a == b else Incidence.MEET

@@ -10,12 +10,18 @@ ORDERS = (1, 5, 8, 40)
 
 
 @st.composite
-def coefficients(draw, line_order):
-    n = draw(st.sampled_from([m for m in ORDERS if line_order % m == 0]))
+def elements(draw, n):
+    """A small rational plus up to two integer multiples of powers of zeta_n."""
     value = rational(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(0, 2))):
         value = value + draw(st.integers(-2, 2)) * zeta(n, draw(st.integers(0, n - 1)))
     return value
+
+
+@st.composite
+def coefficients(draw, line_order):
+    n = draw(st.sampled_from([m for m in ORDERS if line_order % m == 0]))
+    return draw(elements(n))
 
 
 def forms(line_order):

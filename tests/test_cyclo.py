@@ -3,14 +3,19 @@
 import cmath
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from acmcurves.cyclo import (
     MAX_ORDER,
+    RESIDUE_PRIME,
+    RESIDUE_ROOT,
     CycNum,
     OrderError,
+    _residue,
     cyclotomic_polynomial,
     get_order,
     minimal_polynomial_value,
@@ -18,6 +23,8 @@ from acmcurves.cyclo import (
     totient,
     zeta,
 )
+
+from strategies import elements
 
 
 def test_roots_of_unity_basics():
@@ -177,3 +184,73 @@ def test_rendering():
 def test_complex_embedding_is_consistent():
     val = complex(zeta(8))
     assert abs(val - cmath.exp(2j * cmath.pi / 8)) < 1e-12
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _miller_rabin(n):
+    """Deterministic for n < 3.3 * 10^24 with the first 12 prime bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_residue_prime_and_root():
+    L = lcm(*range(1, MAX_ORDER + 1))
+    P, W = RESIDUE_PRIME, RESIDUE_ROOT
+    assert P < 3.3e24 and _miller_rabin(P)
+    assert not _miller_rabin(P + 2)  # the test can say no
+    assert P % L == 1
+    assert W == pow(47, 10, P)
+    assert pow(W, L, P) == 1
+    # order exactly L: W^(L/q) != 1 for every prime q dividing L
+    for q in _SMALL_PRIMES:
+        assert pow(W, L // q, P) != 1
+
+
+def _image(x):
+    """The residue of x in F_P, dividing by its denominator (never P here)."""
+    return _residue(x.nums, get_order(x.order)) * pow(x.den, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+
+_RESIDUE_ORDERS = (1, 5, 7, 8, 40)
+
+
+@st.composite
+def _element_pairs(draw):
+    n, m = draw(st.sampled_from(_RESIDUE_ORDERS)), draw(st.sampled_from(_RESIDUE_ORDERS))
+    assume(lcm(n, m) <= MAX_ORDER)
+    return draw(elements(n)), draw(elements(m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_element_pairs())
+def test_residue_is_a_ring_map_compatible_with_lift(pair):
+    x, y = pair
+    P = RESIDUE_PRIME
+    assert _image(x + y) == (_image(x) + _image(y)) % P
+    assert _image(x - y) == (_image(x) - _image(y)) % P
+    assert _image(x * y) == _image(x) * _image(y) % P
+    for n in range(x.order, MAX_ORDER + 1, x.order):
+        assert _image(x.lift(n)) == _image(x)
+
+
+@pytest.mark.parametrize("n", _RESIDUE_ORDERS)
+def test_residue_of_zeta_is_a_primitive_root(n):
+    w = _image(zeta(n))
+    assert pow(w, n, RESIDUE_PRIME) == 1
+    assert all(pow(w, k, RESIDUE_PRIME) != 1 for k in range(1, n))
+    poly = cyclotomic_polynomial(n)
+    assert sum(c * pow(w, k, RESIDUE_PRIME) for k, c in enumerate(poly)) % RESIDUE_PRIME == 0

@@ -2,7 +2,8 @@
 
 A refactor that must not change what the program prints is checked here:
 `repro all` (text and JSON), `witness search` for one documented target
-per rule (text and JSON) and `model show fermat5`.
+per rule (text and JSON), `model show fermat5`, both atlas listings (their
+canonical rows) and one order-40 literal `intersect` per answer.
 """
 
 from pathlib import Path
@@ -18,7 +19,19 @@ GOLDEN = {
     "repro_all.txt": ["repro", "all"],
     "repro_all.json": ["repro", "all", "--json"],
     "model_show_fermat5.txt": ["model", "show", "fermat5"],
+    "lines_list_fermat4.txt": ["lines", "list", "--model", "fermat4"],
+    "lines_list_fermat5.txt": ["lines", "list", "--model", "fermat5"],
 }
+_LITERAL = "x0 + zeta(40)*x1 ; x2 + zeta(8)^3*x3"
+GOLDEN["intersect_skew.txt"] = ["intersect", _LITERAL, "x0 + x2 ; x1 + zeta(5)*x3"]
+GOLDEN["intersect_meet.txt"] = [  # the second line lies in a plane through the first
+    "intersect", _LITERAL, "x0 + zeta(40)*x1 + 3*x2 + 3*zeta(8)^3*x3 ; x1 + x3 - 2/7*x2"
+]
+GOLDEN["intersect_same.txt"] = [  # two other forms of the same pencil
+    "intersect",
+    _LITERAL,
+    "2*x0 + 2*zeta(40)*x1 - x2 - zeta(8)^3*x3 ; x2 + zeta(8)^3*x3 + zeta(40)*x0 + zeta(40)^2*x1",
+]
 for _prop, (_model, _target) in TARGETS.items():
     _argv = ["witness", "search", "--prop", _prop, "--target", _target, "--model", _model]
     GOLDEN[f"witness_{_prop}.txt"] = _argv

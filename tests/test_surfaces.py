@@ -205,6 +205,31 @@ def test_validate_flags_hodge_violation():
     assert any(c.name == "hodge-index" for c in report.violations)
 
 
+def test_parity_is_decided_on_the_generators(fermat5, fermat4):
+    for model, ngens in ((fermat5, 76), (fermat4, 49)):
+        parity = next(c for c in model_validate(model, samples=0).checks
+                      if c.name == "adjunction-parity")
+        assert parity.ok
+        assert parity.detail == f"v.(v+K) even on all {ngens} generators, hence on every class"
+
+
+def test_validate_flags_one_odd_generator_without_samples():
+    odd = load_model(
+        {
+            "name": "odd-parity",
+            "kind": "custom",
+            "chi0": 1,
+            "generators": ["H", "A"],
+            "gram": [[4, 0], [0, -1]],
+            "hyperplane": [1, 0],
+            "canonical": [0, 0],
+        }
+    )
+    report = model_validate(odd, samples=0)
+    assert [c.name for c in report.violations] == ["adjunction-parity"]
+    assert report.violations[0].detail == "1 of 2 generators have odd v.(v+K)"
+
+
 def test_validate_flags_asymmetric_gram():
     bad = SurfaceModel(
         name="asym",
