@@ -93,8 +93,12 @@ def verdict_json(v):
 
 
 def _plain(value):
+    """A JSON value: None, bool, int and str as they are, a tuple as a list,
+    anything else as its text."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, tuple):
+        return list(value)
     return str(value)
 
 

@@ -23,6 +23,19 @@ so the maps of all orders agree and residues of different orders need no
 lifting.  _residue applies the map to an integer numerator tuple; it never
 divides mod P.  A ring map sends 0 to 0, so a nonzero residue proves that
 the element is nonzero; a zero residue proves nothing.
+
+Inverse by the norm.  For an element nums/den, the integer element x = nums
+times the product cof of its other Galois conjugates is the norm N(x), so
+the inverse is den * cof / N(x), and no Fraction is made.  The conjugation
+sigma_j (j a unit mod n) sends z^i to z^(i*j), a row of the power table.
+The conjugates are gathered along a chain 1 = H_0 < H_1 < ... < H_k =
+(Z/n)^* of subgroups of prime index p_i, with H_i generated over H_(i-1) by
+g_i (CycOrder.norm_steps, which depends on n only).  If x is fixed by
+H_(i-1), then sigma_(g_i^p_i) fixes x, so the relative norm
+x * sigma_(g_i)(x) * ... * sigma_(g_i^(p_i - 1))(x) is fixed by H_i.  After
+the last step the value is fixed by the whole Galois group, so it is
+rational, and as a product of algebraic integers it is an integer: N(x).
+At n = 40 the chain is four steps of index 2.
 """
 
 from fractions import Fraction
@@ -104,7 +117,8 @@ class CycOrder:
     """Precomputed reduction data for one cyclotomic order."""
 
     __slots__ = (
-        "n", "phi", "minpoly", "red_rows", "power_rows", "trace_vec", "residue_powers"
+        "n", "phi", "minpoly", "red_rows", "power_rows", "trace_vec", "residue_powers",
+        "norm_steps",
     )
 
     def __init__(self, n):
@@ -142,6 +156,25 @@ class CycOrder:
         # images of z^u, u < phi, under z -> W^(L/n) in F_P
         step = pow(RESIDUE_ROOT, lcm(*range(1, MAX_ORDER + 1)) // n, RESIDUE_PRIME)
         self.residue_powers = tuple(pow(step, u, RESIDUE_PRIME) for u in range(phi))
+        self.norm_steps = _norm_steps(n)
+
+
+def _norm_steps(n):
+    """Steps (g, p) through (Z/n)^*: each g has prime order p modulo the
+    subgroup generated by the g before it, and all of them generate (Z/n)^*,
+    so the primes multiply to phi(n)."""
+    group = {1 % n}
+    steps = []
+    for u in range(1, n):
+        while gcd(u, n) == 1 and u not in group:
+            m, v = 1, u
+            while v not in group:
+                v, m = v * u % n, m + 1
+            p = next(q for q in range(2, m + 1) if m % q == 0)
+            g = pow(u, m // p, n)
+            steps.append((g, p))
+            group = {h * pow(g, k, n) % n for h in group for k in range(p)}
+    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -204,11 +237,30 @@ def _fold(conv, red_rows):
     return out
 
 
-def _mul(anums, aden, bnums, bden, red_rows):
-    """Product modulo the minimal polynomial: one convolution, one fold."""
+def _product(anums, bnums, red_rows):
+    """Product of two numerator tuples modulo the minimal polynomial, not
+    normalized: one convolution, one fold."""
     conv = [0] * (2 * len(anums) - 1)
     _convolve(conv, anums, bnums, 1)
-    return _normalize(_fold(conv, red_rows), aden * bden)
+    return _fold(conv, red_rows)
+
+
+def _mul(anums, aden, bnums, bden, red_rows):
+    return _normalize(_product(anums, bnums, red_rows), aden * bden)
+
+
+def _substitute(nums, j, order):
+    """Numerators of the element with z^i replaced by z^(i*j), at the given
+    order: a Galois conjugation when j is a unit mod n, a lift when the
+    numerators come from a divisor of n and j is the index."""
+    out = [0] * order.phi
+    for i, c in enumerate(nums):
+        if c:
+            row = order.power_rows[i * j % order.n]
+            for k, r in enumerate(row):
+                if r:
+                    out[k] += c * r
+    return out
 
 
 def _residue(nums, order):
@@ -281,16 +333,7 @@ class CycNum:
         _check_order(n)
         if n % self.order:
             raise OrderError(f"order {self.order} does not divide {n}")
-        ordn = get_order(n)
-        step = n // self.order
-        out = [0] * ordn.phi
-        for i, c in enumerate(self.nums):
-            if c:
-                row = ordn.power_rows[i * step]
-                for j in range(ordn.phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        nums, den = _normalize(out, self.den)
+        nums, den = _normalize(_substitute(self.nums, n // self.order, get_order(n)), self.den)
         return _wrap(n, nums, den)
 
     # -- predicates ---------------------------------------------------
@@ -358,7 +401,7 @@ class CycNum:
         return self
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the norm: den * cof / N(nums)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero cyclotomic number")
         if self.is_rational():
@@ -366,26 +409,19 @@ class CycNum:
                 [self.den] + [0] * (len(self.nums) - 1), self.nums[0]
             )
             return _wrap(self.order, nums, den)
-        # xgcd(a, Phi_n) over Q[x]: Phi_n is irreducible, so s*a = 1 mod Phi_n
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(v, self.den) for v in self.nums]
-        r0, r1 = phi_poly, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _poly_trim(r1)
-            if len(r1) == 1:
-                break
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        inv = [c / r1[0] for c in s1]
-        phi = get_order(self.order).phi
-        inv += [Fraction(0)] * (phi - len(inv))
-        common = 1
-        for c in inv:
-            common = common * c.denominator // gcd(common, c.denominator)
-        nums = [int(c * common) for c in inv[:phi]]
-        nums, den = _normalize(nums, common)
+        # x = nums * cof runs through the relative norms of the step chain;
+        # after the last step x is the rational integer N(nums)
+        order = get_order(self.order)
+        x = self.nums
+        cof = order.power_rows[0]
+        for g, p in order.norm_steps:
+            conj = [_substitute(x, pow(g, k, order.n), order) for k in range(1, p)]
+            prod = conj[0]
+            for c in conj[1:]:
+                prod = _product(prod, c, order.red_rows)
+            cof = _product(cof, prod, order.red_rows)
+            x = _product(x, prod, order.red_rows)
+        nums, den = _normalize([self.den * c for c in cof], x[0])
         return _wrap(self.order, nums, den)
 
     def __truediv__(self, other):
@@ -405,7 +441,17 @@ class CycNum:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _wrap(self.order, _unit_nums(self.order), 1)
+        order = get_order(self.order)
+        support = [i for i, c in enumerate(self.nums) if c]
+        if len(support) == 1:
+            # (c*z^k/den)^e = c^e * z^(k*e) / den^e: one row of the power table
+            (k,) = support
+            c = self.nums[k] ** exponent
+            nums, den = _normalize(
+                [c * r for r in order.power_rows[k * exponent % order.n]], self.den**exponent
+            )
+            return _wrap(self.order, nums, den)
+        result = _wrap(self.order, order.power_rows[0], 1)
         base = self
         e = exponent
         while e:
@@ -466,49 +512,6 @@ class CycNum:
         return sum(
             (c / self.den) * z**i for i, c in enumerate(self.nums)
         ) + 0j
-
-
-def _unit_nums(n):
-    return tuple(1 if i == 0 else 0 for i in range(get_order(n).phi))
-
-
-def _poly_trim(p):
-    k = len(p)
-    while k > 1 and p[k - 1] == 0:
-        k -= 1
-    return p[:k]
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    den = _poly_trim(den)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    return q, _poly_trim(num[: len(den) - 1] or [Fraction(0)])
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 def zeta(n, k=1):

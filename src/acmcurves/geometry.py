@@ -10,9 +10,16 @@ with one reduction: the products are convolved on raw numerators, over one
 common denominator, into a single buffer, which is then folded modulo the
 cyclotomic polynomial once, with the coefficient functions of CycNum.
 
-Each line carries its six Plücker coordinates p_ij = r0[i]*r1[j] -
-r0[j]*r1[i] (i < j) of the canonical rows r0, r1, computed once.  Two lines
-share a point exactly when the Klein-quadric pairing
+The canonical form comes from the Plücker coordinates by Cramer's rule.
+For input forms a, b let p_ij = a_i*b_j - a_j*b_i (i < j), with p_ji = -p_ij
+and p_ii = 0.  The RREF pivot columns (c0, c1) are the first pair in
+PLUCKER_INDICES order with p_(c0 c1) != 0 (all six zero means rank 1).
+With p' = p / p_(c0 c1), the canonical rows are r0[j] = p'_(j c1) and
+r1[j] = p'_(c0 j), and p' are the Plücker coordinates of those rows, since
+the row operation to RREF has determinant 1/p_(c0 c1).  So a line costs six
+_dot and at most one inverse, none when p_(c0 c1) is already 1, as for
+every atlas line.  Two lines share a point exactly when the Klein-quadric
+pairing
 
     p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01
 
@@ -91,34 +98,6 @@ class LinearForm:
         return " + ".join(parts)
 
 
-def _rref(rows):
-    """Reduced row echelon form with unit pivots; returns (rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(4):
-        src = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        pivot = rows[r][c]
-        # a pivot that is already 1 (every atlas form) needs no scaling;
-        # read off the coefficients, since == 1 would lift the 1
-        if pivot.den != 1 or pivot.nums[0] != 1 or any(pivot.nums[1:]):
-            inv = pivot.inverse()
-            rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 # index pairs (i, j) of the Plücker coordinates p_ij, in storage order
 PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -136,20 +115,38 @@ class Line:
         if not isinstance(f2, LinearForm):
             f2 = LinearForm(f2)
         n, coeffs = _common_order(f1.coeffs + f2.coeffs)
-        rows, pivots = _rref(
-            [
-                [c.lift(n) for c in coeffs[:4]],
-                [c.lift(n) for c in coeffs[4:]],
-            ]
-        )
-        if len(pivots) < 2:
-            raise GeometryError("the two forms are linearly dependent (rank 1)")
-        r0, r1 = self.rows = (tuple(rows[0]), tuple(rows[1]))
-        self.pivots = tuple(pivots)
+        a = [c.lift(n) for c in coeffs[:4]]
+        b = [c.lift(n) for c in coeffs[4:]]
         order = get_order(n)
-        self.plucker = tuple(
-            _wrap(n, *_normalize(*_dot(((1, r0[i], r1[j]), (-1, r0[j], r1[i])), order)))
+        plucker = [
+            _wrap(n, *_normalize(*_dot(((1, a[i], b[j]), (-1, a[j], b[i])), order)))
             for i, j in PLUCKER_INDICES
+        ]
+        # the first nonzero minor p_(c0 c1) names the RREF pivot columns
+        k = next((k for k, p in enumerate(plucker) if any(p.nums)), None)
+        if k is None:
+            raise GeometryError("the two forms are linearly dependent (rank 1)")
+        c0, c1 = self.pivots = PLUCKER_INDICES[k]
+        pivot = plucker[k]
+        # a pivot that is already 1 (every atlas line) needs no scaling;
+        # read off the coefficients, since == 1 would lift the 1
+        if pivot.den != 1 or pivot.nums[0] != 1 or any(pivot.nums[1:]):
+            inv = pivot.inverse()
+            plucker = [
+                _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
+                for p in plucker
+            ]
+        self.plucker = tuple(plucker)
+        coord = dict(zip(PLUCKER_INDICES, plucker))
+        zero = _wrap(n, (0,) * order.phi, 1)
+
+        def entry(i, j):  # p'_ij, with p'_ii = 0 and p'_ji = -p'_ij
+            return zero if i == j else coord[i, j] if i < j else -coord[j, i]
+
+        # Cramer's rule: r0[j] = p'_(j c1), r1[j] = p'_(c0 j)
+        self.rows = (
+            tuple(entry(j, c1) for j in range(4)),
+            tuple(entry(c0, j) for j in range(4)),
         )
         scale = lcm(*(p.den for p in self.plucker))
         self.image = tuple(

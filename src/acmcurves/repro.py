@@ -13,7 +13,7 @@ Reports are deterministic and byte-identical across runs.
 
 from dataclasses import dataclass
 
-from .classify import check_witness, classify_numeric, search_witness
+from .classify import _plain, check_witness, classify_numeric, search_witness
 from .cyclo import rational, zeta
 from .divisors import (
     Decomposition,
@@ -410,11 +410,3 @@ def summary_json(summary):
         "failed_claims": summary.failed_claims,
         "cases": [case_json(c) for c in summary.cases],
     }
-
-
-def _plain(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, tuple):
-        return list(v)
-    return str(v)

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,6 +24,7 @@ from acmcurves.cyclo import (
     totient,
     zeta,
 )
+from acmcurves.exprs import parse_scalar
 
 from strategies import elements
 
@@ -254,3 +256,63 @@ def test_residue_of_zeta_is_a_primitive_root(n):
     assert all(pow(w, k, RESIDUE_PRIME) != 1 for k in range(1, n))
     poly = cyclotomic_polynomial(n)
     assert sum(c * pow(w, k, RESIDUE_PRIME) for k, c in enumerate(poly)) % RESIDUE_PRIME == 0
+
+
+# -- the inverse by the norm --------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inverse_at_every_order(n, data):
+    a, b = data.draw(elements(n)), data.draw(elements(n))
+    for x in (a, a * b + b):  # the second one is denser
+        if not x.is_zero():
+            inv = x.inverse()
+            assert inv.order == x.order
+            assert x * inv == 1
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_norm_steps_climb_to_the_whole_unit_group(n):
+    units = {k % n for k in range(1, n + 1) if gcd(k, n) == 1}
+    group = {1 % n}
+    primes = 1
+    for g, p in get_order(n).norm_steps:
+        assert all(p % q for q in range(2, p))  # p is prime
+        assert g in units and g not in group and pow(g, p, n) in group
+        bigger = {h * pow(g, k, n) % n for h in group for k in range(p)}
+        assert len(bigger) == p * len(group)
+        group, primes = bigger, primes * p
+    assert group == units
+    assert primes == totient(n)
+
+
+def _wide_element_text():
+    """An order-37 element with 36 random 64-bit coefficients, as text."""
+    rng = random.Random(37)
+    coeffs = [rng.getrandbits(64) * rng.choice((1, -1)) for _ in range(36)]
+    return " + ".join(f"({c})*zeta(37)^{i}" for i, c in enumerate(coeffs))
+
+
+def test_wide_order_37_inverse_is_fast():
+    text = _wide_element_text()
+    a = parse_scalar(text)
+    start = time.perf_counter()
+    inv = a.inverse()
+    assert time.perf_counter() - start < 1.0
+    assert a * inv == 1
+    start = time.perf_counter()
+    via_parser = parse_scalar(f"1/({text})")
+    assert time.perf_counter() - start < 1.0
+    assert via_parser == inv
+
+
+def test_monomial_powers_equal_repeated_products():
+    for n, c, k, den, e in ((40, 3, 7, 2, 13), (37, -2, 35, 5, 40), (8, 1, 3, 1, 0)):
+        x = rational(c, den) * zeta(n, k)
+        expected = rational(1).lift(n)
+        for _ in range(e):
+            expected = expected * x
+        assert x**e == expected
+        assert (x**e).order == n

@@ -3,7 +3,9 @@
 A refactor that must not change what the program prints is checked here:
 `repro all` (text and JSON), `witness search` for one documented target
 per rule (text and JSON), `model show fermat5`, both atlas listings (their
-canonical rows) and one order-40 literal `intersect` per answer.
+canonical rows), one order-40 literal `intersect` per answer and one
+out-of-table `classify --json`, whose trace value is a (genus, degree)
+tuple, written as a JSON list.
 """
 
 from pathlib import Path
@@ -21,6 +23,9 @@ GOLDEN = {
     "model_show_fermat5.txt": ["model", "show", "fermat5"],
     "lines_list_fermat4.txt": ["lines", "list", "--model", "fermat4"],
     "lines_list_fermat5.txt": ["lines", "list", "--model", "fermat5"],
+    "classify_quartic_out_of_table.json": [
+        "classify", "--kind", "quartic", "--deg", "10", "--genus", "9", "--json"
+    ],
 }
 _LITERAL = "x0 + zeta(40)*x1 ; x2 + zeta(8)^3*x3"
 GOLDEN["intersect_skew.txt"] = ["intersect", _LITERAL, "x0 + x2 ; x1 + zeta(5)*x3"]
