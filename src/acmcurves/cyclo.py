@@ -14,6 +14,14 @@ one _convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
 modulo Phi_n; the exact zero tests in geometry convolve many products into
 one buffer and fold it once.
 
+Order-1 operands.  Ints, Fractions and rationals built by rational() have
+order 1, and lifting a rational only sets the constant term.  So a product
+with an order-1 operand scales the other operand's numerators and
+denominator and normalizes once, with no lift, convolution or fold.  A sum
+with a zero whose order divides the other operand's, such as a zero of
+order 1, returns the other operand (negated for 0 - x).  Both give the
+value at the order that lifting would give.
+
 Residues.  RESIDUE_PRIME = P = 10*L + 1 with L = lcm(1, ..., 40) is a prime,
 and RESIDUE_ROOT = W = 47^10 mod P has multiplicative order exactly L.  So
 for every supported order n, W^(L/n) is a primitive n-th root of unity in
@@ -295,6 +303,13 @@ def _common_order(values):
     return n, values
 
 
+def _absorbs(x, zero):
+    """Whether zero is a zero whose order divides x's: adding it changes
+    neither the value nor the order of x, and its lift would be its only
+    effect."""
+    return x.order % zero.order == 0 and not any(zero.nums)
+
+
 def _coerce(value):
     if isinstance(value, CycNum):
         return value
@@ -311,7 +326,9 @@ class CycNum:
     Supports the usual operators against other elements, ints, and
     Fractions.  Operands of different orders are lifted to Q(zeta_lcm)
     first; the lcm must stay within the order cap, after rational operands
-    descend to order 1 when it would not.
+    descend to order 1 when it would not.  An order-1 operand of a product,
+    or a zero of an order dividing the other operand's in a sum, is applied
+    without lifting.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -361,32 +378,48 @@ class CycNum:
         return a.lift(n), b.lift(n)
 
     def __add__(self, other):
-        a, b = self._align(other)
-        if a is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
+        if _absorbs(self, other):
+            return self
+        if _absorbs(other, self):
+            return other
+        a, b = self._align(other)
         nums, den = _add(a.nums, a.den, b.nums, b.den)
         return _wrap(a.order, nums, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        if a is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
+        if _absorbs(self, other):
+            return self
+        if _absorbs(other, self):
+            return -other
+        a, b = self._align(other)
         nums, den = _sub(a.nums, a.den, b.nums, b.den)
         return _wrap(a.order, nums, den)
 
     def __rsub__(self, other):
-        a, b = self._align(other)
-        if a is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        nums, den = _sub(b.nums, b.den, a.nums, a.den)
-        return _wrap(a.order, nums, den)
+        return other - self
 
     def __mul__(self, other):
-        a, b = self._align(other)
-        if a is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
+        if other.order == 1 or self.order == 1:
+            # a rational at order 1 scales the other operand's numerators:
+            # its lift would only be its constant term
+            a, b = (self, other) if other.order == 1 else (other, self)
+            nums, den = _normalize([b.nums[0] * v for v in a.nums], a.den * b.den)
+            return _wrap(a.order, nums, den)
+        a, b = self._align(other)
         nums, den = _mul(
             a.nums, a.den, b.nums, b.den, get_order(a.order).red_rows
         )

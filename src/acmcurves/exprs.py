@@ -7,19 +7,32 @@ Scalar grammar (used for line coefficients and standalone values):
     factor := "-" factor | atom ("^" integer)?
     atom   := integer | "zeta(" integer ")" | "x0".."x3" | "(" expr ")"
 
-A power "^" takes an exponent of at most MAX_EXPONENT, and every numerator
-and the denominator of its result must fit in MAX_POWER_BITS bits; either
-excess is a ParseError, so no expression can stall the process.
+Every value is bounded by MAX_POWER_BITS bits, the largest bit length of
+its numerators and its denominator, so no expression can stall the process.
+An integer literal over that cap is a ParseError, refused by the length of
+its digit string before it is converted.  A power "^" takes an exponent of
+at most MAX_EXPONENT, and its result must fit the cap.  A division, and a
+negative exponent, invert by the norm, whose size is about phi(n) times
+the divisor's bit size: that product must fit the cap before the inverse is
+computed, and the inverse must fit it after.
+
+A linear form evaluates to a sparse value: a scalar part and a map from the
+coordinates that occur to their coefficients.  Scaling and adding touch
+only those coordinates, so "3*zeta(40)^13*x1 + x0" never lifts the zero
+coefficients of x2 and x3 to order 40.  A scalar part that cancels, as in
+"x0 + zeta(8)*x1 + 2*zeta(40) - 2*zeta(40)", leaves the coefficients at the
+orders of the coordinate terms alone.
 
 Line literals are two forms separated by ";", with an optional "line:"
 prefix.  Divisor expressions are signed integer combinations of a model's
-generator names, e.g. "2*H - L[01|23](0,0)"; whitespace is ignored and an
-unknown name is rejected together with the list of valid generators.
+generator names, e.g. "2*H - L[01|23](0,0)", or "0" for the zero class;
+whitespace is ignored and an unknown name is rejected together with the
+list of valid generators.
 """
 
 import re
 
-from .cyclo import rational, zeta
+from .cyclo import ONE, ZERO, rational, zeta
 from .geometry import Line
 from .surfaces import SurfaceError
 
@@ -37,17 +50,48 @@ def _bits(c):
     return max(c.den.bit_length(), *(abs(v).bit_length() for v in c.nums))
 
 
+def _over_cap(what):
+    return ParseError(f"{what} exceeds the bit-size cap {MAX_POWER_BITS}")
+
+
+def _capped(value, what):
+    if _bits(value) > MAX_POWER_BITS:
+        raise _over_cap(what)
+    return value
+
+
+def _inverse(value, what):
+    """1/value within the bit-size cap.  The norm that the inverse divides
+    by has about phi(n)*bits(value) bits: refuse before computing it, and
+    check the inverse itself after."""
+    if len(value.nums) * _bits(value) > MAX_POWER_BITS:
+        raise _over_cap(what)
+    return _capped(value.inverse(), what)
+
+
 def _power(base, exponent):
     """base^exponent within the bit-size cap; |exponent| <= MAX_EXPONENT."""
     if exponent < 0:
-        base, exponent = base.inverse(), -exponent
+        base, exponent = _inverse(base, "a power"), -exponent
     # |x^e| < 2^(e*bits(x)) for rationals: refuse before computing; the
     # check after the power covers the growth of cyclotomic coefficients
-    if exponent * _bits(base) <= MAX_POWER_BITS:
-        result = base**exponent
-        if _bits(result) <= MAX_POWER_BITS:
-            return result
-    raise ParseError(f"a power exceeds the bit-size cap {MAX_POWER_BITS}")
+    if exponent * _bits(base) > MAX_POWER_BITS:
+        raise _over_cap("a power")
+    return _capped(base**exponent, "a power")
+
+
+# 2^MAX_POWER_BITS has this many decimal digits, so any longer integer
+# literal is over the cap; shorter ones are checked after int()
+MAX_LITERAL_DIGITS = len(str(2**MAX_POWER_BITS))
+
+
+def _integer(token):
+    """An integer literal within the bit-size cap, refused before int() when
+    its digit string is too long."""
+    if len(token) > MAX_LITERAL_DIGITS or int(token).bit_length() > MAX_POWER_BITS:
+        shown = token if len(token) <= 8 else token[:8] + "..."
+        raise _over_cap(f"integer literal {shown}")
+    return int(token)
 
 
 _TOKEN = re.compile(r"\s*(zeta|x[0-3]|\d+|[()+\-*/^])")
@@ -68,36 +112,45 @@ def _tokenize(text):
 
 
 class _LinValue:
-    """Scalar plus a linear part in x0..x3; products must stay linear."""
+    """Scalar plus a sparse linear part in x0..x3; products must stay linear.
+
+    vec maps a coordinate index to its coefficient, and an absent index is
+    zero, so x1 is {1: ONE} and scaling or adding touches only the
+    coordinates that occur.  const takes the same operations as a dense
+    evaluation would, so a scalar keeps its value, order and text.
+    """
 
     __slots__ = ("const", "vec")
 
     def __init__(self, const, vec=None):
         self.const = const
-        self.vec = vec or (rational(0),) * 4
+        self.vec = vec or {}
+
+    @staticmethod
+    def coordinate(i):
+        return _LinValue(ZERO, {i: ONE})
 
     def is_scalar(self):
-        return all(c.is_zero() for c in self.vec)
+        return all(c.is_zero() for c in self.vec.values())
+
+    def _scaled(self, s):
+        return _LinValue(self.const * s, {i: c * s for i, c in self.vec.items()})
 
     def __add__(self, other):
-        return _LinValue(
-            self.const + other.const,
-            tuple(a + b for a, b in zip(self.vec, other.vec)),
-        )
+        vec = dict(self.vec)
+        for i, c in other.vec.items():
+            vec[i] = vec[i] + c if i in vec else c
+        return _LinValue(self.const + other.const, vec)
 
     def __sub__(self, other):
-        return _LinValue(
-            self.const - other.const,
-            tuple(a - b for a, b in zip(self.vec, other.vec)),
-        )
+        return self + -other
 
     def __neg__(self):
-        return _LinValue(-self.const, tuple(-c for c in self.vec))
+        return _LinValue(-self.const, {i: -c for i, c in self.vec.items()})
 
     def __mul__(self, other):
         if other.is_scalar():
-            s = other.const
-            return _LinValue(self.const * s, tuple(c * s for c in self.vec))
+            return self._scaled(other.const)
         if self.is_scalar():
             return other * self
         raise ParseError("nonlinear product of coordinates")
@@ -107,11 +160,14 @@ class _LinValue:
             raise ParseError("division by a coordinate expression")
         if other.const.is_zero():
             raise ParseError("division by zero")
-        inv = other.const.inverse()
-        return _LinValue(self.const * inv, tuple(c * inv for c in self.vec))
+        return self._scaled(_inverse(other.const, "a quotient"))
 
 
 class _Parser:
+    # the type of parsed values: a scalar is value_type(const) and x_i is
+    # value_type.coordinate(i)
+    value_type = _LinValue
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -164,24 +220,22 @@ class _Parser:
             if len(e) > len(str(MAX_EXPONENT)) or int(e) > MAX_EXPONENT:
                 shown = e if len(e) <= 8 else e[:8] + "..."
                 raise ParseError(f"exponent {shown} exceeds the cap {MAX_EXPONENT}")
-            value = _LinValue(_power(value.const, sign * int(e)))
+            value = self.value_type(_power(value.const, sign * int(e)))
         return value
 
     def parse_atom(self):
         tok = self.take()
         if tok.isdigit():
-            return _LinValue(rational(int(tok)))
+            return self.value_type(rational(_integer(tok)))
         if tok == "zeta":
             self.take("(")
             n = self.take()
             if not n.isdigit():
                 raise ParseError(f"zeta order must be an integer, found {n!r}")
             self.take(")")
-            return _LinValue(zeta(int(n)))
+            return self.value_type(zeta(_integer(n)))
         if tok in ("x0", "x1", "x2", "x3"):
-            vec = [rational(0)] * 4
-            vec[int(tok[1])] = rational(1)
-            return _LinValue(rational(0), tuple(vec))
+            return self.value_type.coordinate(int(tok[1]))
         if tok == "(":
             value = self.parse_expr()
             self.take(")")
@@ -189,8 +243,8 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
-def _parse(text):
-    parser = _Parser(_tokenize(text))
+def _parse(text, parser_type=_Parser):
+    parser = parser_type(_tokenize(text))
     value = parser.parse_expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input starting at {parser.peek()!r}")
@@ -212,7 +266,7 @@ def parse_linear_form(text):
         raise ParseError("a projective linear form cannot have a constant term")
     if value.is_scalar():
         raise ParseError("the form has no coordinate part")
-    return value.vec
+    return tuple(value.vec.get(i, ZERO) for i in range(4))
 
 
 def parse_line(text):
@@ -234,6 +288,8 @@ def parse_divisor(text, model):
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty divisor expression")
+    if compact == "0":  # format_divisor's text for the zero class
+        return model.zero_class()
     terms = []
     start = 0
     for m in _NAME_SPLIT.finditer(compact, 1):

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, JSON mode."""
 
 import json
+import random
 
 from acmcurves.cli import main
 from acmcurves.divisors import chi, degree, genus, k_invariant
@@ -88,6 +89,24 @@ def test_intersect_mixed_orders_with_a_rational_coefficient(capsys):
     )
     assert code == 0
     assert out.strip() == "0 (skew)"
+
+
+def test_intersect_refuses_oversized_literals(capsys):
+    rng = random.Random(4096)
+    quotient = " + ".join(
+        f"({rng.getrandbits(4096)})*zeta(37)^{i}" for i in range(36)
+    )
+    for coefficient, message in (
+        (f"1/({quotient})", "error: a quotient exceeds the bit-size cap 4096"),
+        ("7" * 1300, "error: integer literal 77777777... exceeds the bit-size cap 4096"),
+        ("9" * 5000, "error: integer literal 99999999... exceeds the bit-size cap 4096"),
+    ):
+        code, out, err = run(
+            capsys, "intersect", f"x0 + {coefficient}*x1 ; x2 + x3", "x0 + x2 ; x1 + x3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
 
 
 def test_intersect_atlas_names(capsys):

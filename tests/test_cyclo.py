@@ -16,7 +16,11 @@ from acmcurves.cyclo import (
     RESIDUE_ROOT,
     CycNum,
     OrderError,
+    _add,
+    _common_order,
+    _mul,
     _residue,
+    _sub,
     cyclotomic_polynomial,
     get_order,
     minimal_polynomial_value,
@@ -125,6 +129,66 @@ def test_field_axioms_on_random_triples():
         assert a + b == b + a and a * b == b * a
         if not a.is_zero():
             assert a * a.inverse() == 1
+
+
+_AXIOM_ORDERS = (1, 5, 7, 8, 40)
+
+
+@st.composite
+def _mixed_triples(draw):
+    """Three elements at orders from _AXIOM_ORDERS whose lcm is within the
+    cap, with a rational at order 1 put in at a drawn place."""
+    orders = [draw(st.sampled_from(_AXIOM_ORDERS)) for _ in range(3)]
+    assume(lcm(*orders) <= MAX_ORDER)
+    values = [draw(elements(n)) for n in orders]
+    place = draw(st.integers(0, 3))
+    if place < 3:
+        values[place] = rational(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    return tuple(values)
+
+
+def _rep(x):
+    return x.order, x.nums, x.den
+
+
+def _by_lifting(op, a, b):
+    """op on a and b lifted to their common order: the path every operand
+    took before order-1 operands and zeros were applied directly."""
+    n, (a, b) = _common_order((a, b))
+    a, b = a.lift(n), b.lift(n)
+    if op == "*":
+        return (n, *_mul(a.nums, a.den, b.nums, b.den, get_order(n).red_rows))
+    return (n, *(_add if op == "+" else _sub)(a.nums, a.den, b.nums, b.den))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mixed_triples())
+def test_field_axioms_across_mixed_orders(triple):
+    a, b, c = triple
+    zero, one, za = rational(0), rational(1), a - a  # za: a zero at a's order
+    for x, y in (
+        (a, b), (b, a), (a, c), (c, b), (a, zero), (zero, a), (one, b), (b, one),
+        (b, za), (za, b), (za, c), (c, za),
+    ):
+        assert _rep(x + y) == _by_lifting("+", x, y)
+        assert _rep(x - y) == _by_lifting("-", x, y)
+        assert _rep(x * y) == _by_lifting("*", x, y)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    # identities, with ints and Fractions on either side
+    for z in (zero, 0, Fraction(0)):
+        assert _rep(a + z) == _rep(z + a) == _rep(a - z) == _rep(a)
+        assert _rep(z - a) == _rep(-a)
+    for u in (one, 1, Fraction(1)):
+        assert _rep(a * u) == _rep(u * a) == _rep(a)
+    assert (a - a).is_zero() and (a - a).order == a.order
+    q = Fraction(-3, 7)
+    assert _rep(q * a) == _rep(a * q) == _by_lifting("*", a, rational(-3, 7))
+    assert _rep(a + q) == _by_lifting("+", a, rational(-3, 7))
+    assert _rep(q - a) == _by_lifting("-", rational(-3, 7), a)
 
 
 def test_canonical_uniqueness():

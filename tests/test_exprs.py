@@ -1,10 +1,16 @@
 """Textual interfaces: scalar grammar, line literals, divisor expressions."""
 
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmcurves.cyclo import rational, zeta
 from acmcurves.exprs import (
     MAX_EXPONENT,
+    MAX_POWER_BITS,
     ParseError,
     format_divisor,
     parse_divisor,
@@ -13,6 +19,7 @@ from acmcurves.exprs import (
     parse_scalar,
 )
 from acmcurves.geometry import Line
+from acmcurves.surfaces import fermat_model
 
 
 def test_scalar_tokens():
@@ -43,6 +50,43 @@ def test_power_caps():
             parse_scalar(text)
     with pytest.raises(ParseError, match="exceeds the cap"):
         parse_linear_form("x0 + 3^400000*x1")
+
+
+def wide_order_37_text(bits, seed=37):
+    """An order-37 element with 36 random coefficients of the given bit size."""
+    rng = random.Random(seed)
+    coeffs = [rng.getrandbits(bits) * rng.choice((1, -1)) for _ in range(36)]
+    return " + ".join(f"({c})*zeta(37)^{i}" for i, c in enumerate(coeffs))
+
+
+def test_quotients_are_capped_before_inverting():
+    # phi(37) * 64 = 2,304 bits fit the cap: the quotient is computed
+    text = wide_order_37_text(64)
+    assert parse_scalar(f"1/({text})") * parse_scalar(text) == 1
+    for bits in (256, 4096):  # 88 ms and 6.8 s to invert without the cap
+        text = wide_order_37_text(bits)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"a quotient exceeds the bit-size cap {MAX_POWER_BITS}"):
+            parse_scalar(f"1/({text})")
+        assert time.perf_counter() - start < 0.1
+    # 36 * 113 = 4,068 bits pass the first check, but the inverse has 4,116
+    with pytest.raises(ParseError, match="a quotient exceeds the bit-size cap"):
+        parse_scalar(f"1/({wide_order_37_text(113)})")
+    # a negative power inverts too
+    with pytest.raises(ParseError, match="a power exceeds the bit-size cap"):
+        parse_scalar(f"({wide_order_37_text(256)})^-1")
+    assert parse_scalar("zeta(40)^-39") == zeta(40)
+    assert parse_scalar("1/(3^1000)") == rational(1, 3**1000)
+
+
+def test_integer_literals_are_capped():
+    largest = str(2**MAX_POWER_BITS - 1)  # 1,234 digits
+    assert parse_scalar(largest) == rational(2**MAX_POWER_BITS - 1)
+    for text in (str(2**MAX_POWER_BITS), "7" * 1300, "9" * 5000, f"zeta({'4' * 5000})"):
+        with pytest.raises(ParseError, match=f"exceeds the bit-size cap {MAX_POWER_BITS}"):
+            parse_scalar(text)
+    with pytest.raises(ParseError, match=r"integer literal 77777777\.\.\. exceeds"):
+        parse_linear_form("x0 + " + "7" * 1300 + "*x1")
 
 
 def test_scalar_rejects_coordinates():
@@ -124,3 +168,20 @@ def test_format_roundtrip(fermat5):
         assert parse_divisor(format_divisor(d), fermat5) == d if text != "0" else True
         assert format_divisor(d) == str(d)
     assert format_divisor(fermat5.zero_class()) == "0"
+
+
+@pytest.mark.parametrize("d", (4, 5))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_format_then_parse_is_the_identity_on_random_classes(d, data):
+    model = fermat_model(d)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=model.ngens, max_size=model.ngens))
+    cls = model.class_of(coeffs)
+    assert parse_divisor(format_divisor(cls), model) == cls
+
+
+def test_the_zero_class_round_trips(fermat5):
+    assert format_divisor(fermat5.zero_class()) == "0"
+    assert parse_divisor(" 0 ", fermat5) == fermat5.zero_class()
+    with pytest.raises(ParseError, match="a bare integer is not a divisor term"):
+        parse_divisor("3", fermat5)
