@@ -560,13 +560,24 @@ def _candidates(shape, twist):
     """Witnesses to try for one clause, read off the clause's shape."""
     model = twist.model
     if shape.lead == "Dtilde":
-        # a plane quartic H - L, and lines for the rest
+        # a plane quartic H - L_i, and lines for the rest: the residual
+        # r + e_i, r = twist - H, is a nonzero nonnegative line vector only
+        # for every i when r is, or for the one i where r has its only
+        # negative entry, -1, when r has a positive entry too
         H = model.hyperplane_class
-        for name in model.generators[1:]:
-            quartic = H - model.gen_class(name)
-            rest = _line_parts_from(twist - quartic)
-            if rest is not None:
-                yield Decomposition(((quartic, 1),) + rest)
+        r = (twist - H).coeffs
+        negative = [i for i, c in enumerate(r) if c < 0]
+        if r[0] or len(negative) > 1:
+            return
+        if not negative:
+            hits = range(1, len(r))
+        elif r[negative[0]] == -1 and any(c > 0 for c in r):
+            hits = negative
+        else:
+            return
+        for i in hits:
+            quartic = H - model.gen_class(model.generators[i])
+            yield Decomposition(((quartic, 1),) + _line_parts_from(twist - quartic))
     elif shape.lead or shape.lines:
         parts = _line_parts_from(twist)
         if parts is not None:

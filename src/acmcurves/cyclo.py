@@ -67,7 +67,9 @@ def _check_order(n):
     if not isinstance(n, int) or n < 1:
         raise OrderError(f"cyclotomic order must be a positive integer, got {n!r}")
     if n > MAX_ORDER:
-        raise OrderError(f"cyclotomic order {n} exceeds the supported cap {MAX_ORDER}")
+        shown = str(n)
+        shown = shown if len(shown) <= 8 else shown[:8] + "..."
+        raise OrderError(f"cyclotomic order {shown} exceeds the supported cap {MAX_ORDER}")
 
 
 def totient(n):

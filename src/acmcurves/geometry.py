@@ -1,43 +1,56 @@
 """Exact projective geometry in P^3.
 
-A line is the common zero locus of two independent linear forms.  The
-canonical representative is the reduced row echelon form of the 2x4
-coefficient matrix over the cyclotomic field, so two lines are equal
-exactly when their canonical matrices agree.
+A line is the common zero locus of two independent linear forms a, b, and
+it is stored as its projective Plücker point: the six minors
+p_ij = a_i*b_j - a_j*b_i (i < j) of the input forms, with p_ji = -p_ij and
+p_ii = 0.  Another pair of forms cutting out the same line changes the
+minors by the nonzero determinant of the row operation between the pairs,
+so two lines are equal exactly when their minors are proportional, and
+incidence, a zero test of a bilinear form, needs no normalization.
 
 Every exact zero test here is a signed sum of products, evaluated by _dot
 with one reduction: the products are convolved on raw numerators, over one
 common denominator, into a single buffer, which is then folded modulo the
 cyclotomic polynomial once, with the coefficient functions of CycNum.
 
-The canonical form comes from the Plücker coordinates by Cramer's rule.
-For input forms a, b let p_ij = a_i*b_j - a_j*b_i (i < j), with p_ji = -p_ij
-and p_ii = 0.  The RREF pivot columns (c0, c1) are the first pair in
-PLUCKER_INDICES order with p_(c0 c1) != 0 (all six zero means rank 1).
-With p' = p / p_(c0 c1), the canonical rows are r0[j] = p'_(j c1) and
-r1[j] = p'_(c0 j), and p' are the Plücker coordinates of those rows, since
-the row operation to RREF has determinant 1/p_(c0 c1).  So a line costs six
-_dot and at most one inverse, none when p_(c0 c1) is already 1, as for
-every atlas line.  Two lines share a point exactly when the Klein-quadric
-pairing
+The canonical representative, read only when printed, hashed or used for
+membership, is the reduced row echelon form of the 2x4 coefficient matrix
+over the cyclotomic field, read off the minors by Cramer's rule.  The RREF
+pivot columns (c0, c1) are the first pair in PLUCKER_INDICES order with
+p_(c0 c1) != 0 (all six zero means rank 1).  With p' = p / p_(c0 c1), the
+canonical rows are r0[j] = p'_(j c1) and r1[j] = p'_(c0 j), and p' are the
+Plücker coordinates of those rows, since the row operation to RREF has
+determinant 1/p_(c0 c1).  So a line costs six _dot, and its canonical form
+at most one inverse more, none when p_(c0 c1) is already 1, as for every
+atlas line.
+
+Two lines share a point exactly when the Klein-quadric pairing
 
     p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01
 
-vanishes.  The pairing is the Laplace expansion of the 4x4 determinant of
-the stacked canonical forms along its first two rows, so it equals that
-determinant exactly.  A zero pairing means SAME or MEET, told apart by
-comparing the canonical matrices; a nonzero pairing means SKEW.
+vanishes.  On the canonical coordinates the pairing is the Laplace
+expansion of the 4x4 determinant of the stacked canonical forms along its
+first two rows, so it equals that determinant exactly.  On the minors it
+is the determinant of the stacked input forms, the canonical one times the
+nonzero determinants of the two row operations, so it vanishes exactly
+when the canonical pairing does.  A zero pairing means SAME or MEET, told
+apart by the equality test; a nonzero pairing means SKEW.
 
-Most pairs are skew, and one residue proves it.  Each line also carries the
-image of its Plücker coordinates in F_P under the ring map of cyclo (see
-RESIDUE_PRIME), after scaling all six by the lcm of their denominators.
-That lcm is a positive integer, so the scaled coordinates are the same
-point of P^5 and have integer numerators, which the map takes without any
-division mod P.  The pairing of the two images is the image of the pairing
-of the scaled coordinates, a nonzero integer multiple of the exact pairing;
-a ring map sends 0 to 0, so a nonzero image proves SKEW.  A zero image, which
-every meeting pair has and a skew pair may have, falls through to the exact
-pairing, so MEET and SAME are decided by exact arithmetic only.
+Two lines are equal exactly when the cross terms p_k*q_j - p_j*q_k vanish
+for the first nonzero minor p_k, which equal lines share, and every j: q is
+then q_k/p_k times p.
+
+Most pairs are skew and most meeting pairs unequal, and one residue proves
+either.  Each line carries the image of its minors in F_P under the ring
+map of cyclo (see RESIDUE_PRIME), after scaling all six by the lcm of their
+denominators.  That lcm is a positive integer, so the scaled minors are the
+same point of P^5 and have integer numerators, which the map takes without
+any division mod P.  The pairing of two images is the image of the pairing
+of the scaled minors, a nonzero integer multiple of the exact pairing, and
+likewise for each cross term; a ring map sends 0 to 0, so a nonzero image
+proves SKEW, or that two lines differ.  A zero image, which every meeting
+pair and every pair of equal lines has and any other pair may have, falls
+through to exact arithmetic, so MEET and SAME are decided exactly.
 
 Membership in the Fermat surface of degree d is decided from the pivot
 rows: with a_r, b_r the entries of pivot row r in the two free columns,
@@ -102,12 +115,21 @@ class LinearForm:
 PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-class Line:
-    """A line in P^3, canonicalized as a rank-2 RREF 2x4 matrix, with its
-    Plücker coordinates in the order of PLUCKER_INDICES and their residues
-    mod RESIDUE_PRIME, scaled to integers by one common factor."""
+def _residues(coords, order):
+    """Images in F_P of the coordinates, scaled to integers by the lcm of
+    their denominators."""
+    scale = lcm(*(p.den for p in coords))
+    return tuple(_residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in coords)
 
-    __slots__ = ("rows", "pivots", "plucker", "image")
+
+class Line:
+    """A line in P^3 as its Plücker minors, in the order of PLUCKER_INDICES,
+    with their residues mod RESIDUE_PRIME, scaled to integers by one common
+    factor, and the RREF pivot columns.  The canonical rank-2 RREF 2x4
+    matrix `rows`, its Plücker coordinates `plucker` and their residues
+    `image` are computed together on first read."""
+
+    __slots__ = ("minors", "residues", "pivots", "rows", "plucker", "image")
 
     def __init__(self, f1, f2):
         if not isinstance(f1, LinearForm):
@@ -115,29 +137,47 @@ class Line:
         if not isinstance(f2, LinearForm):
             f2 = LinearForm(f2)
         n, coeffs = _common_order(f1.coeffs + f2.coeffs)
-        a = [c.lift(n) for c in coeffs[:4]]
-        b = [c.lift(n) for c in coeffs[4:]]
         order = get_order(n)
-        plucker = [
+        zero = _wrap(n, (0,) * order.phi, 1)
+        coeffs = [c.lift(n) if any(c.nums) else zero for c in coeffs]
+        a, b = coeffs[:4], coeffs[4:]
+        minors = tuple(
             _wrap(n, *_normalize(*_dot(((1, a[i], b[j]), (-1, a[j], b[i])), order)))
             for i, j in PLUCKER_INDICES
-        ]
+        )
         # the first nonzero minor p_(c0 c1) names the RREF pivot columns
-        k = next((k for k, p in enumerate(plucker) if any(p.nums)), None)
+        k = next((k for k, p in enumerate(minors) if any(p.nums)), None)
         if k is None:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
-        c0, c1 = self.pivots = PLUCKER_INDICES[k]
-        pivot = plucker[k]
+        self.pivots = PLUCKER_INDICES[k]
+        self.minors = minors
+        self.residues = _residues(minors, order)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the canonical fields on first read
+        if name not in ("rows", "plucker", "image"):
+            raise AttributeError(name)
+        self._canonicalize()
+        return object.__getattribute__(self, name)
+
+    def _canonicalize(self):
+        minors = self.minors
+        n = minors[0].order
+        order = get_order(n)
+        c0, c1 = self.pivots
+        pivot = minors[PLUCKER_INDICES.index(self.pivots)]
         # a pivot that is already 1 (every atlas line) needs no scaling;
         # read off the coefficients, since == 1 would lift the 1
-        if pivot.den != 1 or pivot.nums[0] != 1 or any(pivot.nums[1:]):
+        if pivot.den == 1 and pivot.nums[0] == 1 and not any(pivot.nums[1:]):
+            self.plucker, self.image = minors, self.residues
+        else:
             inv = pivot.inverse()
-            plucker = [
+            self.plucker = tuple(
                 _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
-                for p in plucker
-            ]
-        self.plucker = tuple(plucker)
-        coord = dict(zip(PLUCKER_INDICES, plucker))
+                for p in minors
+            )
+            self.image = _residues(self.plucker, order)
+        coord = dict(zip(PLUCKER_INDICES, self.plucker))
         zero = _wrap(n, (0,) * order.phi, 1)
 
         def entry(i, j):  # p'_ij, with p'_ii = 0 and p'_ji = -p'_ij
@@ -147,10 +187,6 @@ class Line:
         self.rows = (
             tuple(entry(j, c1) for j in range(4)),
             tuple(entry(c0, j) for j in range(4)),
-        )
-        scale = lcm(*(p.den for p in self.plucker))
-        self.image = tuple(
-            _residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in self.plucker
         )
 
     def points(self):
@@ -168,8 +204,18 @@ class Line:
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
-        return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
+        # proportional minors share their first nonzero one, the pivot
+        if self.pivots != other.pivots:
+            return False
+        k = PLUCKER_INDICES.index(self.pivots)
+        r, s = self.residues, other.residues
+        if any((r[k] * s[j] - r[j] * s[k]) % RESIDUE_PRIME for j in range(6)):
+            return False
+        order, p, q = _aligned(self.minors, other.minors)
+        return not any(
+            any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)[0])
+            for j in range(6)
+            if j != k
         )
 
     def __hash__(self):
@@ -225,15 +271,26 @@ def _dot(terms, order):
 _PAIRING_SIGNS = (1, -1, 1, 1, -1, 1)
 
 
-def _pairing_numerators(a, b):
-    """Klein-quadric pairing of two lines as unnormalized (order, nums, den)."""
-    p, q = a.plucker, b.plucker
+def _aligned(p, q):
+    """(order, p, q): two Plücker tuples lifted to one order."""
     n = p[0].order
     if n != q[0].order:
         n, coords = _common_order(p + q)
         coords = [c.lift(n) for c in coords]
         p, q = coords[:6], coords[6:]
-    return (n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), get_order(n)))
+    return get_order(n), p, q
+
+
+def _pairing(p, q):
+    """Klein-quadric pairing of two Plücker tuples as unnormalized (order, nums, den)."""
+    order, p, q = _aligned(p, q)
+    return (order.n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), order))
+
+
+def _pairing_numerators(a, b):
+    """Klein-quadric pairing of two lines' minors as unnormalized (order,
+    nums, den): zero exactly when the canonical pairing is."""
+    return _pairing(a.minors, b.minors)
 
 
 def _plucker_pairing(a, b):
@@ -242,13 +299,13 @@ def _plucker_pairing(a, b):
     Equal to the determinant of the 4x4 matrix stacking both lines'
     canonical forms.
     """
-    n, nums, den = _pairing_numerators(a, b)
+    n, nums, den = _pairing(a.plucker, b.plucker)
     return _wrap(n, *_normalize(nums, den))
 
 
 def lines_meet(a, b):
     """SAME, MEET (one common point) or SKEW for two lines in P^3."""
-    p, q = a.image, b.image
+    p, q = a.residues, b.residues
     if (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1]
             + p[5] * q[0]) % RESIDUE_PRIME:
         return Incidence.SKEW

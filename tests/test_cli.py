@@ -109,6 +109,23 @@ def test_intersect_refuses_oversized_literals(capsys):
         assert err.strip() == message
 
 
+def test_intersect_shortens_an_oversized_zeta_order(capsys):
+    code, out, err = run(
+        capsys, "intersect", f"x0 + zeta({'9' * 1000})*x1 ; x2 + x3", "x0 + x2 ; x1 + x3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: cyclotomic order 99999999... exceeds the supported cap 40"
+    assert len(err.encode()) < 120
+    # an order of at most 8 digits is shown whole
+    for order in ("56", "12345678"):
+        code, _, err = run(
+            capsys, "intersect", f"x0 + zeta({order})*x1 ; x2 + x3", "x0 + x2 ; x1 + x3"
+        )
+        assert code == 2
+        assert err.strip() == f"error: cyclotomic order {order} exceeds the supported cap 40"
+
+
 def test_intersect_atlas_names(capsys):
     code, out, _ = run(
         capsys, "intersect", "L[01|23](0,0)", "L[02|13](0,1)", "--model", "fermat5"

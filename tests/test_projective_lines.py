@@ -1,0 +1,208 @@
+"""Lines as projective Plücker points, against the row reduction oracle.
+
+A Line keeps the minors of its input forms and decides equality and
+incidence on them; its canonical RREF form is computed only when read.
+Equality must agree with comparing the oracle's canonical rows, incidence
+with the determinant of the stacked input forms, and neither may read the
+canonical form or invert anything.  The residues of a line's minors may all
+vanish (a minor divisible by the residue prime), and then only exact
+arithmetic may decide.
+"""
+
+from math import lcm
+from pathlib import Path
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from acmcurves.cyclo import RESIDUE_PRIME, CycNum, _common_order, _residue, _wrap, get_order
+from acmcurves.exprs import parse_line, parse_linear_form
+from acmcurves.geometry import (
+    PLUCKER_INDICES,
+    GeometryError,
+    Incidence,
+    Line,
+    LinearForm,
+    lines_meet,
+)
+
+from det_oracle import _det
+from rref_oracle import canonical_rows
+from strategies import ORDERS, coefficients, forms
+
+LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
+_CANONICAL = ("rows", "plucker", "image")
+
+
+def _oracle_rows(f1, f2):
+    """The oracle's canonical rows as values, and its pivot columns."""
+    rows, pivots = canonical_rows(LinearForm(f1).coeffs, LinearForm(f2).coeffs)
+    return [[_wrap(*c) for c in row] for row in rows], pivots
+
+
+def _oracle_equal(a, b):
+    (ra, pa), (rb, pb) = a, b
+    return pa == pb and all(x == y for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b))
+
+
+def _canonical_read(line):
+    """The canonical fields already stored on the line, without computing any."""
+    read = []
+    for name in _CANONICAL:
+        try:
+            Line.__dict__[name].__get__(line, Line)
+        except AttributeError:
+            continue
+        read.append(name)
+    return read
+
+
+@st.composite
+def two_lines(draw):
+    """(f1, f2, g1, g2): b = (g1, g2) random, or a re-spanning
+    (lam*f1 + mu*f2, f2) of a = (f1, f2) with lam nonzero."""
+    na, nb = draw(st.sampled_from(ORDERS)), draw(st.sampled_from(ORDERS))
+    f1, f2 = draw(forms(na)), draw(forms(na))
+    if draw(st.booleans()):
+        g1, g2 = draw(forms(nb)), draw(forms(nb))
+    else:
+        lam = draw(coefficients(nb).filter(lambda v: not v.is_zero()))
+        mu = draw(coefficients(nb))
+        g1, g2 = tuple(lam * u + mu * v for u, v in zip(f1, f2)), f2
+        if draw(st.booleans()):
+            g1, g2 = g2, g1
+    return f1, f2, g1, g2
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(two_lines())
+def test_equality_matches_the_oracle_rows(case):
+    f1, f2, g1, g2 = case
+    try:
+        a, b = Line(f1, f2), Line(g1, g2)
+    except GeometryError:  # a zero form or a rank-1 pair
+        reject()
+    equal = _oracle_equal(_oracle_rows(f1, f2), _oracle_rows(g1, g2))
+    assert (a == b) is equal
+    assert (b == a) is equal
+    assert (lines_meet(a, b) is Incidence.SAME) is equal
+    if equal:
+        assert hash(a) == hash(b)
+
+
+def _literal_pairs():
+    texts = [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
+             if not t.startswith("#")]
+    assert len(texts) == 288
+    return list(zip(texts[::2], texts[1::2]))
+
+
+def _expected_incidence(text_a, text_b):
+    """SAME, MEET or SKEW from the stacked input forms and the oracle rows."""
+    fa, fb = ([parse_linear_form(p) for p in t.split(";")] for t in (text_a, text_b))
+    n, coeffs = _common_order(tuple(fa[0] + fa[1] + fb[0] + fb[1]))
+    values = [c.lift(n) for c in coeffs]
+    if not _det([values[4 * r:4 * r + 4] for r in range(4)]).is_zero():
+        return Incidence.SKEW
+    if _oracle_equal(_oracle_rows(*fa), _oracle_rows(*fb)):
+        return Incidence.SAME
+    return Incidence.MEET
+
+
+def _plucker_and_image(rows):
+    """Plücker coordinates of canonical rows, by CycNum operators, and their
+    residues after scaling by the lcm of the denominators."""
+    r0, r1 = rows
+    plucker = [r0[i] * r1[j] - r0[j] * r1[i] for i, j in PLUCKER_INDICES]
+    scale = lcm(*(p.den for p in plucker))
+    order = get_order(plucker[0].order)
+    image = tuple(
+        _residue([v * (scale // p.den) for v in p.nums], order) for p in plucker
+    )
+    return [(p.order, p.nums, p.den) for p in plucker], image
+
+
+def test_literal_pairs_meet_without_inverting_or_canonicalizing(monkeypatch):
+    pairs = _literal_pairs()
+    assert len(pairs) == 144
+    lines = [(parse_line(a), parse_line(b)) for a, b in pairs]
+    inverted = []
+    inverse = CycNum.inverse
+
+    def counting_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting_inverse)
+    answers = [lines_meet(a, b) for a, b in lines]
+    assert inverted == []
+    assert all(_canonical_read(x) == [] for pair in lines for x in pair)
+    monkeypatch.undo()
+    assert answers == [_expected_incidence(a, b) for a, b in pairs]
+    # the canonical fields read afterwards are those of the row reduction
+    for (text_a, text_b), pair in zip(pairs, lines):
+        for text, line in zip((text_a, text_b), pair):
+            f1, f2 = (parse_linear_form(p) for p in text.split(";"))
+            rows, pivots = canonical_rows(f1, f2)
+            assert [[(c.order, c.nums, c.den) for c in row] for row in line.rows] == rows
+            assert list(line.pivots) == pivots
+            plucker, image = _plucker_and_image(_oracle_rows(f1, f2)[0])
+            assert [(p.order, p.nums, p.den) for p in line.plucker] == plucker
+            assert line.image == image
+            assert _canonical_read(line) == list(_CANONICAL)
+
+
+_P = RESIDUE_PRIME
+# lines whose minors all have residue 0: (expected answer, a's forms, b's forms)
+_VANISHING_CASES = {
+    "same": (
+        Incidence.SAME, ((_P, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 0))
+    ),
+    "meet-other-pivots": (
+        Incidence.MEET, ((_P, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0))
+    ),
+    "meet-same-pivots": (
+        Incidence.MEET, ((_P, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 1))
+    ),
+    "meet-later-pivots": (
+        Incidence.MEET, ((0, _P, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 1, 1))
+    ),
+    "same-later-pivots": (
+        Incidence.SAME, ((0, _P, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, _P, 0))
+    ),
+    "both-vanish-meet": (
+        Incidence.MEET, ((_P, 0, 0, 0), (0, 1, 0, 0)), ((_P, 0, 0, 0), (0, 1, 0, _P))
+    ),
+    "both-vanish-skew": (
+        Incidence.SKEW, ((_P, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, _P, 0), (0, 0, 0, 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VANISHING_CASES))
+def test_vanishing_residues_keep_the_exact_answer(case):
+    expected, (f1, f2), (g1, g2) = _VANISHING_CASES[case]
+    a, b = Line(f1, f2), Line(g1, g2)
+    assert not any(a.residues)
+    assert lines_meet(a, b) is expected
+    assert lines_meet(b, a) is expected
+    equal = _oracle_equal(_oracle_rows(f1, f2), _oracle_rows(g1, g2))
+    assert equal is (expected is Incidence.SAME)
+    assert (a == b) is equal and (b == a) is equal
+
+
+def test_building_a_line_never_lifts_a_zero(monkeypatch):
+    f1, f2 = (parse_linear_form(p) for p in ("x0 + 3*zeta(40)^13*x1", "x2 + zeta(5)*x3"))
+    lifted = []
+    lift = CycNum.lift
+
+    def counting_lift(self, n):
+        if self.is_zero():
+            lifted.append((self.order, n))
+        return lift(self, n)
+
+    monkeypatch.setattr(CycNum, "lift", counting_lift)
+    line = Line(f1, f2)
+    assert lifted == []
+    assert line.minors[0].order == 40
