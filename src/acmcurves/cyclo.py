@@ -30,7 +30,17 @@ Z[zeta_n] -> F_P.  Lifting z_m to z_n^(n/m) maps to W^(L/n * n/m) = W^(L/m),
 so the maps of all orders agree and residues of different orders need no
 lifting.  _residue applies the map to an integer numerator tuple; it never
 divides mod P.  A ring map sends 0 to 0, so a nonzero residue proves that
-the element is nonzero; a zero residue proves nothing.
+the element is nonzero.
+
+A zero residue proves zero under a norm bound.  The map is onto F_P, so
+its kernel is a prime of Z[zeta_n] of norm P, and an element x != 0 with a
+zero residue has P | N(x).  Every complex embedding of x has absolute
+value at most the l1 norm of its numerators, so |N(x)| <= B^phi(n) for
+any B at least that norm.  Hence B^phi(n) < P and a zero residue prove
+x = 0 (_proves_zero).  Where the bound fails, as for large numerators or
+a numerator that is a multiple of P, a zero residue proves nothing and the
+element must be tested exactly; above the order cap the bound is not
+applied, so such values keep failing with OrderError on the exact path.
 
 Inverse by the norm.  For an element nums/den, the integer element x = nums
 times the product cof of its other Galois conjugates is the norm N(x), so
@@ -48,7 +58,7 @@ At n = 40 the chain is four steps of index 2.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log10
 import cmath
 
 MAX_ORDER = 40
@@ -63,13 +73,23 @@ class OrderError(ValueError):
     """Requested cyclotomic order is outside the supported range."""
 
 
+def _leading_digits(n, count=8):
+    """The decimal digits of n > 0 if it has at most count of them, else
+    its first count digits and "...", without writing all of n in decimal."""
+    # 10^(drop + count + 1) <= 2^(bit_length - 1) <= n, so the quotient
+    # keeps more than count digits and its leading ones are n's
+    drop = max(0, int((n.bit_length() - 1) * log10(2)) - count - 1)
+    digits = str(n // 10**drop)
+    return digits if len(digits) <= count else digits[:count] + "..."
+
+
 def _check_order(n):
     if not isinstance(n, int) or n < 1:
         raise OrderError(f"cyclotomic order must be a positive integer, got {n!r}")
     if n > MAX_ORDER:
-        shown = str(n)
-        shown = shown if len(shown) <= 8 else shown[:8] + "..."
-        raise OrderError(f"cyclotomic order {shown} exceeds the supported cap {MAX_ORDER}")
+        raise OrderError(
+            f"cyclotomic order {_leading_digits(n)} exceeds the supported cap {MAX_ORDER}"
+        )
 
 
 def totient(n):
@@ -276,6 +296,13 @@ def _substitute(nums, j, order):
 def _residue(nums, order):
     """Image in F_P of the integer element with these numerators at this order."""
     return sum(c * w for c, w in zip(nums, order.residue_powers)) % RESIDUE_PRIME
+
+
+def _proves_zero(bound, n):
+    """Whether a zero residue proves zero for an element of Z[zeta_n] whose
+    numerators have l1 norm at most bound: bound^phi(n) < P, for n within
+    the order cap."""
+    return n <= MAX_ORDER and bound ** get_order(n).phi < RESIDUE_PRIME
 
 
 def _wrap(n, nums, den):

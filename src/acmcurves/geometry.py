@@ -40,23 +40,35 @@ Two lines are equal exactly when the cross terms p_k*q_j - p_j*q_k vanish
 for the first nonzero minor p_k, which equal lines share, and every j: q is
 then q_k/p_k times p.
 
-Most pairs are skew and most meeting pairs unequal, and one residue proves
-either.  Each line carries the image of its minors in F_P under the ring
-map of cyclo (see RESIDUE_PRIME), after scaling all six by the lcm of their
-denominators.  That lcm is a positive integer, so the scaled minors are the
-same point of P^5 and have integer numerators, which the map takes without
-any division mod P.  The pairing of two images is the image of the pairing
-of the scaled minors, a nonzero integer multiple of the exact pairing, and
-likewise for each cross term; a ring map sends 0 to 0, so a nonzero image
-proves SKEW, or that two lines differ.  A zero image, which every meeting
-pair and every pair of equal lines has and any other pair may have, falls
-through to exact arithmetic, so MEET and SAME are decided exactly.
+Residues decide almost every test without exact arithmetic.  Each line
+carries the image of its minors in F_P under the ring map of cyclo (see
+RESIDUE_PRIME), after scaling all six by the lcm of their denominators,
+and the l1 norms h_k of the scaled minors' numerators.  That lcm is a
+positive integer, so the scaled minors are the same point of P^5 and have
+integer numerators, which the map takes without any division mod P.  The
+pairing of two images is the image of the pairing of the scaled minors, a
+nonzero integer multiple of the exact pairing, and likewise for each cross
+term; a ring map sends 0 to 0, so a nonzero image proves SKEW, or that two
+lines differ.  A zero image proves the value zero when its norm bound
+allows (cyclo._proves_zero): at the lcm m of the two lines' orders, every
+embedding of the scaled pairing has absolute value at most
+sum_k h_k(a) * h_(5-k)(b), and of a cross term at most
+h_k(a)*h_j(b) + h_j(a)*h_k(b), and a bound B with B^phi(m) < P turns a zero
+residue into MEET (or SAME), or into a vanishing cross term.  Only where
+that bound fails, as for large or P-divisible numerators and many order-40
+literal lines, or where m exceeds the order cap, does a zero image fall
+through to exact arithmetic.
 
 Membership in the Fermat surface of degree d is decided from the pivot
 rows: with a_r, b_r the entries of pivot row r in the two free columns,
 the coefficient of s^j t^(d-j) of the restricted form is C(d,j) times
-[j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j), one _dot per j over
-powers taken at the line's own order.
+c_j = [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j).  With the four
+entries scaled to integers by the lcm S of their denominators, S^d * c_j
+lies in Z[zeta_n]; its residue is a sum of modular powers, and its
+embeddings are bounded by 2*S^d + sum_r h(S*a_r)^j * h(S*b_r)^(d-j).  A
+nonzero residue proves c_j != 0, and a zero one under the bound proves
+c_j = 0; any other c_j is one _dot over powers taken at the line's own
+order.
 """
 
 from dataclasses import dataclass
@@ -71,6 +83,7 @@ from .cyclo import (
     _fold,
     _mul,
     _normalize,
+    _proves_zero,
     _residue,
     _wrap,
     get_order,
@@ -115,21 +128,28 @@ class LinearForm:
 PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _residues(coords, order):
-    """Images in F_P of the coordinates, scaled to integers by the lcm of
-    their denominators."""
+def _scaled(coords, order):
+    """(residues, norms): the images in F_P of the coordinates and the l1
+    norms of their numerators, all scaled to integers by the lcm of their
+    denominators."""
     scale = lcm(*(p.den for p in coords))
-    return tuple(_residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in coords)
+    residues, norms = [], []
+    for p in coords:
+        k = scale // p.den
+        residues.append(_residue(p.nums, order) * k % RESIDUE_PRIME)
+        norms.append(sum(map(abs, p.nums)) * k)
+    return tuple(residues), tuple(norms)
 
 
 class Line:
     """A line in P^3 as its Plücker minors, in the order of PLUCKER_INDICES,
-    with their residues mod RESIDUE_PRIME, scaled to integers by one common
-    factor, and the RREF pivot columns.  The canonical rank-2 RREF 2x4
-    matrix `rows`, its Plücker coordinates `plucker` and their residues
-    `image` are computed together on first read."""
+    with their residues mod RESIDUE_PRIME and the l1 norms of their
+    numerators, both scaled to integers by one common factor, and the RREF
+    pivot columns.  The canonical rank-2 RREF 2x4 matrix `rows`, its
+    Plücker coordinates `plucker` and their residues `image` are computed
+    together on first read."""
 
-    __slots__ = ("minors", "residues", "pivots", "rows", "plucker", "image")
+    __slots__ = ("minors", "residues", "norms", "pivots", "rows", "plucker", "image")
 
     def __init__(self, f1, f2):
         if not isinstance(f1, LinearForm):
@@ -151,7 +171,7 @@ class Line:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
         self.pivots = PLUCKER_INDICES[k]
         self.minors = minors
-        self.residues = _residues(minors, order)
+        self.residues, self.norms = _scaled(minors, order)
 
     def __getattr__(self, name):
         # reached only for an unset slot: the canonical fields on first read
@@ -176,7 +196,7 @@ class Line:
                 _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
                 for p in minors
             )
-            self.image = _residues(self.plucker, order)
+            self.image = _scaled(self.plucker, order)[0]
         coord = dict(zip(PLUCKER_INDICES, self.plucker))
         zero = _wrap(n, (0,) * order.phi, 1)
 
@@ -211,11 +231,18 @@ class Line:
         r, s = self.residues, other.residues
         if any((r[k] * s[j] - r[j] * s[k]) % RESIDUE_PRIME for j in range(6)):
             return False
+        # every cross term has a zero residue; prove what the bound allows
+        g, h = self.norms, other.norms
+        m = lcm(self.minors[0].order, other.minors[0].order)
+        rest = [
+            j for j in range(6)
+            if j != k and not _proves_zero(g[k] * h[j] + g[j] * h[k], m)
+        ]
+        if not rest:
+            return True
         order, p, q = _aligned(self.minors, other.minors)
         return not any(
-            any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)[0])
-            for j in range(6)
-            if j != k
+            any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)[0]) for j in rest
         )
 
     def __hash__(self):
@@ -309,7 +336,10 @@ def lines_meet(a, b):
     if (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1]
             + p[5] * q[0]) % RESIDUE_PRIME:
         return Incidence.SKEW
-    if any(_pairing_numerators(a, b)[1]):
+    g, h = a.norms, b.norms
+    bound = g[0] * h[5] + g[1] * h[4] + g[2] * h[3] + g[3] * h[2] + g[4] * h[1] + g[5] * h[0]
+    m = lcm(a.minors[0].order, b.minors[0].order)
+    if not _proves_zero(bound, m) and any(_pairing_numerators(a, b)[1]):
         return Incidence.SKEW
     return Incidence.SAME if a == b else Incidence.MEET
 
@@ -334,6 +364,8 @@ def line_on_fermat(line, d):
     x_(pivot r) = -(a_r*s + b_r*t).  The restricted form vanishes exactly
     when, for every j, [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j)
     does; the coefficient of s^j t^(d-j) is that times the nonzero C(d,j).
+    Each is decided by its residue and norm bound where they suffice, and
+    exactly otherwise.
     """
     if not isinstance(d, int) or d < 2:
         raise GeometryError(f"hypersurface degree must be an integer >= 2, got {d!r}")
@@ -343,10 +375,30 @@ def line_on_fermat(line, d):
         )
     order = get_order(line.rows[0][0].order)
     f, g = (c for c in range(4) if c not in line.pivots)
-    powers = [(_powers(row[f], d, order), _powers(row[g], d, order)) for row in line.rows]
+    # a_0, b_0, a_1, b_1; residues and norms are of the entries scaled to
+    # integers by the lcm S of their denominators
+    entries = [x for row in line.rows for x in (row[f], row[g])]
+    top = lcm(*(x.den for x in entries)) ** d
+    residues, norms = _scaled(entries, order)
+    rp = [[pow(r, e, RESIDUE_PRIME) for e in range(d + 1)] for r in residues]
+    hp = [[h**e for e in range(d + 1)] for h in norms]
     sign = -1 if d % 2 else 1
+    rest = []
     for j in range(d + 1):
-        nums, den = _dot(((sign, pa[j], pb[d - j]) for pa, pb in powers), order)
+        # S^d * c_j: a nonzero residue proves the line off the surface
+        residue = ((j == d) + (j == 0)) * top + sign * (
+            rp[0][j] * rp[1][d - j] + rp[2][j] * rp[3][d - j]
+        )
+        if residue % RESIDUE_PRIME:
+            return False
+        bound = 2 * top + hp[0][j] * hp[1][d - j] + hp[2][j] * hp[3][d - j]
+        if not _proves_zero(bound, order.n):
+            rest.append(j)
+    if not rest:
+        return True
+    powers = [_powers(x, d, order) for x in entries]
+    for j in rest:
+        nums, den = _dot(((sign, powers[r][j], powers[r + 1][d - j]) for r in (0, 2)), order)
         nums[0] += ((j == d) + (j == 0)) * den
         if any(nums):
             return False

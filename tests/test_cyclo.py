@@ -74,6 +74,26 @@ def test_order_limits():
     zeta(MAX_ORDER)  # the cap itself is allowed
 
 
+@pytest.mark.parametrize(
+    "order, shown",
+    [
+        (41, "41"),
+        (99_999_999, "99999999"),
+        (123_456_789, "12345678..."),
+        (10**8, "10000000..."),
+        # more digits than the interpreter converts to a string
+        (10**5000, "10000000..."),
+        (7 * 10**6000 - 1, "69999999..."),
+        (2**10000, str(2**10000)[:8] + "..."),
+    ],
+    ids=["41", "8-digits", "9-digits", "10^8", "10^5000", "7*10^6000-1", "2^10000"],
+)
+def test_order_over_the_cap_shows_its_leading_digits(order, shown):
+    with pytest.raises(OrderError) as err:
+        zeta(order)
+    assert str(err.value) == f"cyclotomic order {shown} exceeds the supported cap {MAX_ORDER}"
+
+
 def test_minimal_polynomial_and_order_for_all_supported_n():
     for n in range(1, MAX_ORDER + 1):
         z = zeta(n)

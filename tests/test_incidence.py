@@ -3,21 +3,22 @@
 The Klein-quadric pairing of two lines' Plücker coordinates is the Laplace
 expansion of the stacked 4x4 determinant along its first two rows, so the
 two must agree value for value, not only in whether they vanish.  A nonzero
-residue of the pairing certifies SKEW without it; those tests are here too.
+residue of the pairing certifies SKEW without it, and a zero one MEET when
+the norm bound allows; those tests are here too.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, reject, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from acmcurves import geometry
 from acmcurves.cyclo import RESIDUE_PRIME, rational, zeta
-from acmcurves.geometry import GeometryError, Incidence, Line, _plucker_pairing, lines_meet
+from acmcurves.geometry import Incidence, Line, _plucker_pairing, lines_meet
+from acmcurves.surfaces import build_fermat_model
 
 from det_oracle import stacked_determinant
-from strategies import ORDERS, coefficients, forms
+from strategies import line_pairs
 
 
 @pytest.mark.parametrize("fixture, npairs", [("fermat4", 1128), ("fermat5", 2775)])
@@ -48,23 +49,32 @@ def test_skew_pairs_skip_the_equality_test(fermat5, monkeypatch):
 
 
 @pytest.mark.parametrize("fixture, nmeet", [("fermat4", 336), ("fermat5", 675)])
-def test_only_meeting_pairs_take_the_exact_pairing(request, monkeypatch, fixture, nmeet):
-    lines = request.getfixturevalue(fixture).lines
-    exact = []
-    original = geometry._pairing_numerators
+def test_no_atlas_pair_takes_the_exact_pairing(request, monkeypatch, fixture, nmeet):
+    """Every atlas pair ends at its residue: a nonzero one proves SKEW, and a
+    zero one is a proof of MEET under the norm bound.  With the bound
+    switched off, exactly the meeting pairs take the exact pairing, and the
+    Gram is the same."""
+    model = request.getfixturevalue(fixture)
+    exact, powered = [], []
+    pairing, powers = geometry._pairing_numerators, geometry._powers
 
-    def counting(a, b):
+    def counting_pairing(a, b):
         exact.append((a, b))
-        return original(a, b)
+        return pairing(a, b)
 
-    monkeypatch.setattr(geometry, "_pairing_numerators", counting)
-    meeting = [
-        (a, b)
-        for a, b in itertools.combinations(lines, 2)
-        if lines_meet(a, b) is not Incidence.SKEW
-    ]
-    assert len(meeting) == nmeet
-    assert exact == meeting
+    def counting_powers(x, d, order):
+        powered.append(x)
+        return powers(x, d, order)
+
+    monkeypatch.setattr(geometry, "_pairing_numerators", counting_pairing)
+    monkeypatch.setattr(geometry, "_powers", counting_powers)
+    certified = build_fermat_model(model.degree)
+    assert exact == [] and powered == []
+    monkeypatch.setattr(geometry, "_proves_zero", lambda bound, n: False)
+    uncertified = build_fermat_model(model.degree)
+    assert len(exact) == nmeet
+    assert powered
+    assert certified.gram == uncertified.gram == model.gram
 
 
 def _residue_pairing(a, b):
@@ -119,25 +129,6 @@ def test_residue_prime_in_coefficients_keeps_the_exact_answer(case):
     assert rel is expected
     if case == "pairing-P":
         assert _residue_pairing(a, b) == 0 and not det.is_zero()
-
-
-@st.composite
-def line_pairs(draw):
-    """(kind, a, b): b random, b coplanar with a, or b the same line as a."""
-    na, nb = draw(st.sampled_from(ORDERS)), draw(st.sampled_from(ORDERS))
-    f1, f2 = draw(forms(na)), draw(forms(na))
-    kind = draw(st.sampled_from(("random", "coplanar", "same")))
-
-    def in_span():  # a form vanishing on the line f1 = f2 = 0
-        s, t = draw(coefficients(nb)), draw(coefficients(nb))
-        return tuple(s * u + t * v for u, v in zip(f1, f2))
-
-    g = draw(forms(nb)) if kind == "random" else in_span()
-    h = in_span() if kind == "same" else draw(forms(nb))
-    try:
-        return kind, Line(f1, f2), Line(g, h)
-    except GeometryError:  # a zero form or a rank-1 pair
-        reject()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,18 +6,14 @@ over two spanning points.  The two must agree on every line and degree.
 """
 
 import pytest
-from hypothesis import given, reject, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from acmcurves import repro
 from acmcurves.cyclo import rational, zeta
-from acmcurves.geometry import GeometryError, Line, line_on_fermat
-from acmcurves.surfaces import PAIRINGS
+from acmcurves.geometry import Line, line_on_fermat
 
 from fermat_oracle import on_fermat_by_expansion
-from strategies import ORDERS, coefficients, forms
-
-DEGREES = range(2, 7)
+from strategies import DEGREES, lines_and_degrees
 
 
 @pytest.mark.parametrize("fixture, d, nlines", [("fermat4", 4, 48), ("fermat5", 5, 75)])
@@ -46,39 +42,6 @@ def test_membership_matches_the_oracle_on_the_repro_lines(monkeypatch):
     one, zero, w = rational(1), rational(0), zeta(8)
     printed = Line((one, zero, w, zero), (zero, one, zero, w**2))
     assert [(line, d) for line, d, got, _ in calls if not got] == [(printed, 4)]
-
-
-@st.composite
-def lines_and_degrees(draw):
-    """(kind, line, d) for d in 2..6.
-
-    kind "random": a literal line at orders 1, 5, 8 or 40.  kind "ruling":
-    a ruling of the Fermat quadric, x0 + i*x1 = lam*(x2 + e*i*x3) and
-    lam*(x0 - i*x1) = -(x2 - e*i*x3) with e = +-1, whose pivot rows are
-    dense; it lies on the surface for d = 2.  kind "standard": the line
-    x_p + alpha*x_q = x_r + beta*x_s = 0 with (-alpha)^d = (-beta)^d = -1,
-    which lies on the surface of degree d.
-    """
-    d = draw(st.sampled_from(DEGREES))
-    n = draw(st.sampled_from(ORDERS))
-    kind = draw(st.sampled_from(("random", "ruling", "standard")))
-    if kind == "random":
-        f1, f2 = draw(forms(n)), draw(forms(n))
-    elif kind == "ruling":
-        i, lam, e = zeta(4), draw(coefficients(n)), draw(st.sampled_from((1, -1)))
-        f1 = (1, i, -lam, -e * lam * i)
-        f2 = (lam, -lam * i, 1, -e * i)
-    else:
-        p, q, r, s = draw(st.sampled_from(PAIRINGS))
-        # (-zeta_2d^k)^d = -1 exactly for k = d + 1 mod 2
-        alpha = zeta(2 * d, 2 * draw(st.integers(0, d - 1)) + 1 - d % 2)
-        beta = zeta(2 * d, 2 * draw(st.integers(0, d - 1)) + 1 - d % 2)
-        f1, f2 = [0] * 4, [0] * 4
-        f1[p], f1[q], f2[r], f2[s] = 1, alpha, 1, beta
-    try:
-        return kind, Line(f1, f2), d
-    except GeometryError:  # a zero form or a rank-1 pair
-        reject()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
