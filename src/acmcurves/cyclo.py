@@ -594,14 +594,3 @@ def rational(p, q=1):
 ZERO = rational(0)
 ONE = rational(1)
 
-
-def minimal_polynomial_value(a):
-    """Phi_n evaluated at a, for a of declared order n (zero iff primitive)."""
-    poly = cyclotomic_polynomial(a.order)
-    acc = rational(0).lift(a.order)
-    power = rational(1).lift(a.order)
-    for c in poly:
-        if c:
-            acc = acc + power * c
-        power = power * a
-    return acc

@@ -1,10 +1,12 @@
 """Divisor-class calculus over a surface lattice model.
 
 Classes are integer vectors over a model's generators; the pairing extends
-the Gram matrix bilinearly.  Genus and chi follow the adjunction and
-Riemann-Roch shapes and are defined for arbitrary integer classes, not just
-effective ones; a non-integral value is an error that proves the class
-cannot occur as stated.
+the Gram matrix bilinearly.  Classes compare and hash equal when numerically
+equivalent (they pair alike with every generator), and print and test
+is_zero as written; search_witness still reads a twist coefficient by
+coefficient.  Genus and chi follow the adjunction and Riemann-Roch shapes
+and are defined for arbitrary integer classes, not just effective ones; a
+non-integral value is an error that proves the class cannot occur as stated.
 """
 
 import itertools
@@ -63,6 +65,22 @@ class DivClass:
         return _class(self.model, tuple(k * x for x in self.coeffs))
 
     __rmul__ = __mul__
+
+    def __eq__(self, other):
+        """Numerical equivalence: (self - other).v = 0 for every generator v."""
+        if not isinstance(other, DivClass):
+            return NotImplemented
+        if self.model is not other.model and self.model != other.model:
+            return False
+        if self.coeffs == other.coeffs:
+            return True
+        diff = [(j, x - y) for j, (x, y) in enumerate(zip(self.coeffs, other.coeffs)) if x != y]
+        return not any(sum(row[j] * c for j, c in diff) for row in self.model.gram)
+
+    def __hash__(self):
+        """Hash of the intersection vector Gram.coeffs, equal on equal classes."""
+        nonzero = [(j, c) for j, c in enumerate(self.coeffs) if c]
+        return hash(tuple(sum(row[j] * c for j, c in nonzero) for row in self.model.gram))
 
     def is_zero(self):
         return not any(self.coeffs)

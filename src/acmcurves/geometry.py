@@ -320,16 +320,6 @@ def _pairing_numerators(a, b):
     return _pairing(a.minors, b.minors)
 
 
-def _plucker_pairing(a, b):
-    """Klein-quadric pairing of two lines, as a cyclotomic number.
-
-    Equal to the determinant of the 4x4 matrix stacking both lines'
-    canonical forms.
-    """
-    n, nums, den = _pairing(a.plucker, b.plucker)
-    return _wrap(n, *_normalize(nums, den))
-
-
 def lines_meet(a, b):
     """SAME, MEET (one common point) or SKEW for two lines in P^3."""
     p, q = a.residues, b.residues

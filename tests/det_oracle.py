@@ -3,10 +3,12 @@
 The package decides incidence with the Klein-quadric pairing of Plücker
 coordinates.  This module keeps the direct definition it replaced: the
 determinant of the 4x4 matrix stacking both lines' canonical forms, by
-recursive cofactor expansion with CycNum operators.
+recursive cofactor expansion with CycNum operators, and the pairing of the
+canonical Plücker coordinates as a CycNum to compare it with.
 """
 
-from acmcurves.cyclo import rational
+from acmcurves.cyclo import _normalize, _wrap, rational
+from acmcurves.geometry import _pairing
 
 
 def _det(mat):
@@ -34,3 +36,10 @@ def _det(mat):
 def stacked_determinant(a, b):
     """Determinant of the 4x4 matrix stacking both lines' canonical forms."""
     return _det([list(a.rows[0]), list(a.rows[1]), list(b.rows[0]), list(b.rows[1])])
+
+
+def plucker_pairing(a, b):
+    """Klein-quadric pairing of two lines' canonical Plücker coordinates,
+    as a cyclotomic number."""
+    n, nums, den = _pairing(a.plucker, b.plucker)
+    return _wrap(n, *_normalize(nums, den))

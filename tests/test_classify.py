@@ -255,7 +255,7 @@ def test_search_witness_deterministic(fermat5, ex43):
     target = dt + l1 + l2
     a = search_witness("P4.6", target, bound=10)
     b = search_witness("P4.6", target, bound=10)
-    assert a == b
+    assert a == b and str(a) == str(b)
 
 
 def test_search_witness_none_for_acm_class(fermat5):

