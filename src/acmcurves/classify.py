@@ -4,9 +4,11 @@ classify_numeric decides from (degree, genus) alone: the unconditional ACM
 pairs, the pairs where a non-aCM curve exists and a witness would settle
 the instance, and everything else as OUT_OF_TABLE with the necessary
 conditions and unchecked cohomological obligations recorded in the trace.
-check_witness verifies a proposed decomposition against the numeric clauses
-of the matching equivalence rule, and search_witness enumerates candidate
-decompositions over a model's registered effective classes.
+A witness is decided in two halves: _header checks the target against the
+rule's header and builds each clause's twist, once per target, and _judge
+certifies one decomposition's parts and matches them against the clauses.
+check_witness runs both once; search_witness runs _header once and _judge
+on each candidate it builds over the model's registered effective classes.
 
 Each clause of a rule names a twist of the target (TWISTS: a multiple of
 H plus or minus D) and a shape (SHAPES).  A Shape is data: the allowed
@@ -408,8 +410,8 @@ def _role_checks(shape, parts, lead):
     return checks
 
 
-def _match(shape, parts, twist, tag, trace):
-    """Whether the parts fit the shape and sum to twist; the checks go to trace."""
+def _match(shape, parts, total, twist, tag, trace):
+    """Whether the parts fit the shape and their sum total is twist; checks go to trace."""
     if len(parts) not in shape.counts:
         trace.append(TraceLine("witness shape", f"{len(parts)} parts", shape.text, False))
         return False
@@ -441,29 +443,19 @@ def _match(shape, parts, twist, tag, trace):
     if not ok and shape.lead == "Gamma1":
         # a Gamma1 lead only counts together with its products
         return False
-    total = sum(parts[1:], parts[0])
     in_twist = total == twist
     trace.append(TraceLine(f"witness sum lies in |{tag}|", str(total), str(twist), in_twist))
     return in_twist and ok
 
 
-def _witness_spec(prop_id):
+def _header(prop_id, target):
+    """(spec, trace, twists): the rule, the header checks, and each clause's
+    twist of the target, or None for twists when the header fails."""
     spec = WITNESS_SPECS.get(prop_id)
     if spec is None:
         raise ValueError(
             f"unknown witness rule {prop_id!r}; choose from {sorted(WITNESS_SPECS)}"
         )
-    return spec
-
-
-def check_witness(prop_id, target, witness):
-    """Verify a proposed non-aCM witness decomposition against a rule.
-
-    Returns NOT_ACM when some clause is fully satisfied, CONDITIONAL with
-    the failing checks in the trace when the witness is rejected, and
-    INVALID when the target does not fit the rule's header.
-    """
-    spec = _witness_spec(prop_id)
     trace = [
         TraceLine(
             "effectivity policy: parts must be nonnegative combinations of "
@@ -471,26 +463,18 @@ def check_witness(prop_id, target, witness):
         )
     ]
     if target.model.degree != spec.surface_degree:
-        trace.append(
-            TraceLine(
-                "surface degree",
-                target.model.degree,
-                spec.surface_degree,
-                False,
-            )
-        )
-        return Verdict(Status.INVALID, spec.prop_id, tuple(trace))
-    tdeg, tgen = degree(target), genus(target)
-    header_ok = (tdeg, tgen) == (spec.deg, spec.genus)
-    trace.append(
-        TraceLine(
-            "target (deg, genus)", (tdeg, tgen), (spec.deg, spec.genus), header_ok
-        )
-    )
-    if not header_ok:
-        return Verdict(Status.INVALID, spec.prop_id, tuple(trace))
-    if witness.model is not target.model:
-        raise ValueError("witness parts and target must share one model instance")
+        trace.append(TraceLine("surface degree", target.model.degree, spec.surface_degree, False))
+        return spec, tuple(trace), None
+    got, want = (degree(target), genus(target)), (spec.deg, spec.genus)
+    trace.append(TraceLine("target (deg, genus)", got, want, got == want))
+    if got != want:
+        return spec, tuple(trace), None
+    return spec, tuple(trace), tuple(_twist_class(c.twist, target) for c in spec.clauses)
+
+
+def _judge(spec, trace, twists, witness):
+    """Verdict on one witness, after the header trace, against every clause."""
+    trace = list(trace)
     parts = witness.expanded()
     for p in parts:
         if p.is_zero():
@@ -498,14 +482,12 @@ def check_witness(prop_id, target, witness):
             return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
         cert = certify_effective(p)
         if not cert.ok:
-            trace.append(
-                TraceLine(f"effectivity of {p}", cert.reason, "certified", False)
-            )
+            trace.append(TraceLine(f"effectivity of {p}", cert.reason, "certified", False))
             return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
-    for clause in spec.clauses:
+    total = sum(parts[1:], parts[0])
+    for clause, twist in zip(spec.clauses, twists):
         sub = []
-        twist = _twist_class(clause.twist, target)
-        matched = _match(SHAPES[clause.shape], parts, twist, clause.twist, sub)
+        matched = _match(SHAPES[clause.shape], parts, total, twist, clause.twist, sub)
         label = f"{spec.display}({clause.clause_id})"
         if matched:
             trace.append(TraceLine(f"clause {label} satisfied"))
@@ -515,6 +497,21 @@ def check_witness(prop_id, target, witness):
         trace.extend(sub)
     trace.append(TraceLine("witness rejected; the verdict stays conditional"))
     return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
+
+
+def check_witness(prop_id, target, witness):
+    """Verify a proposed non-aCM witness decomposition against a rule.
+
+    Returns NOT_ACM when some clause is fully satisfied, CONDITIONAL with
+    the failing checks in the trace when the witness is rejected, and
+    INVALID when the target does not fit the rule's header.
+    """
+    spec, trace, twists = _header(prop_id, target)
+    if twists is None:
+        return Verdict(Status.INVALID, spec.prop_id, trace)
+    if witness.model is not target.model:
+        raise ValueError("witness parts and target must share one model instance")
+    return _judge(spec, trace, twists, witness)
 
 
 def _line_parts_from(residual):
@@ -533,25 +530,22 @@ def search_witness(prop_id, target, bound=None):
     """Bounded deterministic search for a witness over the model's atlas.
 
     Candidates are assembled from H, the atlas lines, and the residual
-    plane curves H - L, in lexicographic generator order; the first
-    candidate accepted by check_witness wins.  Returning None means the
+    plane curves H - L, in lexicographic generator order; the first one
+    that _judge accepts wins.  The header is checked once; a clause whose
+    twist has degree above bound is skipped.  Returning None means the
     search was exhausted without a certificate; it does NOT prove the
     curve aCM.
     """
-    spec = _witness_spec(prop_id)
-    model = target.model
-    if model.lines is None:
-        raise ValueError(f"model {model.name} has no line atlas to search")
-    if model.degree != spec.surface_degree:
+    spec, trace, twists = _header(prop_id, target)
+    if target.model.lines is None:
+        raise ValueError(f"model {target.model.name} has no line atlas to search")
+    if twists is None:
         return None
-    if (degree(target), genus(target)) != (spec.deg, spec.genus):
-        return None
-    for clause in spec.clauses:
-        twist = _twist_class(clause.twist, target)
+    for clause, twist in zip(spec.clauses, twists):
+        if bound is not None and degree(twist) > bound:
+            continue  # every candidate of the clause sums to its twist
         for cand in _candidates(SHAPES[clause.shape], twist):
-            if bound is not None and degree(cand.total) > bound:
-                continue
-            if check_witness(prop_id, target, cand).status is Status.NOT_ACM:
+            if _judge(spec, trace, twists, cand).status is Status.NOT_ACM:
                 return cand
     return None
 

@@ -249,7 +249,8 @@ def build_parser():
     ws = wsub.add_parser("search")
     ws.add_argument("--prop", required=True)
     ws.add_argument("--target", required=True)
-    ws.add_argument("--bound", type=int)
+    ws.add_argument("--bound", type=int, metavar="N", help="skip a clause whose twist has "
+                    "degree above N; every twist has degree at most 6, so 10 is no bound")
     ws.add_argument("--model", default="fermat5")
     ws.add_argument("--json", action="store_true")
     ws.set_defaults(func=_cmd_witness)

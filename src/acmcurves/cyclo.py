@@ -147,8 +147,7 @@ class CycOrder:
     """Precomputed reduction data for one cyclotomic order."""
 
     __slots__ = (
-        "n", "phi", "minpoly", "red_rows", "power_rows", "trace_vec", "residue_powers",
-        "norm_steps",
+        "n", "phi", "red_rows", "power_rows", "trace_vec", "residue_powers", "norm_steps",
     )
 
     def __init__(self, n):
@@ -157,7 +156,6 @@ class CycOrder:
         minpoly = cyclotomic_polynomial(n)
         phi = len(minpoly) - 1
         self.phi = phi
-        self.minpoly = minpoly
         # rows[k] = coefficients of x^k reduced modulo Phi_n, for every
         # exponent the multiplication and lifting paths can produce
         top = max(n, 2 * phi - 1)

@@ -353,11 +353,9 @@ def run_example(case_id, models=None):
     return builder(models)
 
 
-def verify_all(ids=None, models=None):
-    """Run the listed cases (default: all) in id order."""
-    if ids is None:
-        ids = EXAMPLE_IDS
-    return SummaryReport(tuple(run_example(i, models) for i in ids))
+def verify_all(models=None):
+    """Run every case in id order."""
+    return SummaryReport(tuple(run_example(i, models) for i in EXAMPLE_IDS))
 
 
 def render_case(report):

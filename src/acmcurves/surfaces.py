@@ -178,18 +178,20 @@ def build_fermat_model(d):
                 )
             v = 1 if rel is Incidence.MEET else 0
             gram[1 + i][1 + j] = gram[1 + j][1 + i] = v
-    plane_genus = (d - 1) * (d - 2) // 2
+    return _hypersurface(d, f"fermat{d}", "fermat", ("H", *names), gram, tuple(lines))
+
+
+def _hypersurface(d, name, kind, generators, gram, lines=None):
+    """Model of a degree-d surface in P^3 whose first generator is H and the
+    rest lines: K = (d - 4)H, chi(O_X) = 1 + h0(O(d - 4)), and the plane
+    section has genus (d - 1)(d - 2)/2."""
+    rest = (0,) * (len(generators) - 1)
     return SurfaceModel(
-        name=f"fermat{d}",
-        kind="fermat",
-        degree=d,
-        generators=("H", *names),
+        name=name, kind=kind, degree=d, generators=generators,
         gram=tuple(tuple(row) for row in gram),
-        hyperplane=(1,) + (0,) * (m - 1),
-        canonical=(d - 4,) + (0,) * (m - 1),
-        chi0=5 if d == 5 else 2,
-        gen_genus=(plane_genus,) + (0,) * (m - 1),
-        lines=tuple(lines),
+        hyperplane=(1,) + rest, canonical=(d - 4,) + rest,
+        chi0=1 + (d - 1) * (d - 2) * (d - 3) // 6,
+        gen_genus=((d - 1) * (d - 2) // 2,) + rest, lines=lines,
     )
 
 
@@ -237,17 +239,7 @@ def builtin_model(name):
         )
     if name in ("generic_quartic", "generic_quintic"):
         d = 4 if name == "generic_quartic" else 5
-        return SurfaceModel(
-            name=name,
-            kind="generic",
-            degree=d,
-            generators=("H",),
-            gram=((d,),),
-            hyperplane=(1,),
-            canonical=(d - 4,),
-            chi0=2 if d == 4 else 5,
-            gen_genus=((d - 1) * (d - 2) // 2,),
-        )
+        return _hypersurface(d, name, "generic", ("H",), ((d,),))
     raise SurfaceError(f"unknown builtin model {name!r}; choose from {BUILTIN_NAMES}")
 
 
@@ -266,9 +258,10 @@ def named_model(name):
 def load_model(source):
     """Custom model from a JSON document (path, JSON text, or dict).
 
-    Expected fields: name, kind:"custom", chi0, generators:[string],
-    gram:[[int]], hyperplane:[int], canonical:[int].  The model is trusted
-    as given; run model_validate to inspect its consistency.
+    Expected fields: name:string, kind:"custom", chi0:int, generators:[string],
+    gram:[[int]], hyperplane:[int], canonical:[int].  Any other type, a
+    bool or 1.5 among the ints included, raises SurfaceError.  The values
+    are trusted as given; run model_validate to inspect their consistency.
     """
     if isinstance(source, dict):
         doc = source
@@ -282,23 +275,38 @@ def load_model(source):
                     doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SurfaceError(f"cannot read custom model document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SurfaceError("a custom model document must be a JSON object")
     required = {"name", "kind", "chi0", "generators", "gram", "hyperplane", "canonical"}
     missing = required - set(doc)
     if missing:
         raise SurfaceError(f"custom model document lacks fields: {sorted(missing)}")
     if doc["kind"] != "custom":
         raise SurfaceError('custom model documents must declare kind:"custom"')
+    if not isinstance(doc["name"], str):
+        raise SurfaceError(f"custom model field name must be a string, got {doc['name']!r}")
+    if type(doc["chi0"]) is not int:
+        raise SurfaceError(f"custom model field chi0 must be an int, got {doc['chi0']!r}")
+    generators = _entries(doc["generators"], "generators", str)
     return SurfaceModel(
-        name=str(doc["name"]),
+        name=doc["name"],
         kind="custom",
         degree=None,
-        generators=tuple(str(g) for g in doc["generators"]),
-        gram=tuple(tuple(int(v) for v in row) for row in doc["gram"]),
-        hyperplane=tuple(int(v) for v in doc["hyperplane"]),
-        canonical=tuple(int(v) for v in doc["canonical"]),
-        chi0=int(doc["chi0"]),
-        gen_genus=(None,) * len(doc["generators"]),
+        generators=generators,
+        gram=tuple(_entries(row, "gram", int) for row in _entries(doc["gram"], "gram", list)),
+        hyperplane=_entries(doc["hyperplane"], "hyperplane", int),
+        canonical=_entries(doc["canonical"], "canonical", int),
+        chi0=doc["chi0"],
+        gen_genus=(None,) * len(generators),
     )
+
+
+def _entries(value, field, kind):
+    """A JSON list whose entries all have type kind, as a tuple; so a bool or
+    1.5 where an int is due is refused, not read as an int."""
+    if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        raise SurfaceError(f"custom model field {field} must be a list of {kind.__name__} values")
+    return tuple(value)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,17 @@ def test_model_show_custom_json(tmp_path, capsys):
     assert "H: 5 5" in out
 
 
+def test_model_show_malformed_custom_json(tmp_path, capsys):
+    doc = {"name": "x", "kind": "custom", "chi0": 1, "generators": 5,
+           "gram": [], "hyperplane": [], "canonical": []}
+    path = tmp_path / "model.json"
+    for text in ("[[1]]", json.dumps(doc)):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "model", "show", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "custom model" in err
+
+
 def test_lines_list(capsys):
     code, out, _ = run(capsys, "lines", "list", "--model", "fermat4")
     assert code == 0

@@ -382,3 +382,40 @@ def test_custom_model_json_roundtrip(tmp_path):
 def test_custom_model_missing_fields():
     with pytest.raises(SurfaceError):
         load_model({"name": "x", "kind": "custom"})
+
+
+_SPAN = {
+    "name": "span", "kind": "custom", "chi0": 5, "generators": ["H", "Dt"],
+    "gram": [[5, 5], [5, -5]], "hyperplane": [1, 0], "canonical": [1, 0],
+}
+
+
+@pytest.mark.parametrize("doc", [[[1]], 5, "H", None])
+def test_custom_model_must_be_an_object(tmp_path, doc):
+    import json
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SurfaceError, match="must be a JSON object"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 5),
+    ("generators", 5),
+    ("generators", ["H", 2]),
+    ("gram", 5),
+    ("gram", [5, 5]),
+    ("gram", [[5, 1.5], [5, -5]]),
+    ("gram", [[5, True], [5, -5]]),
+    ("hyperplane", "10"),
+    ("hyperplane", [1, 0.0]),
+    ("canonical", [1, None]),
+    ("chi0", 5.0),
+    ("chi0", True),
+    ("chi0", "5"),
+])
+def test_custom_model_refuses_malformed_fields(field, value):
+    with pytest.raises(SurfaceError, match=f"custom model field {field} must be"):
+        load_model({**_SPAN, field: value})
+
