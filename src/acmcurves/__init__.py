@@ -7,7 +7,7 @@ verdict engine with witness search and a worked-example reproduction suite.
 """
 
 from .cyclo import CycNum, OrderError, rational, zeta
-from .geometry import Incidence, Line, LinearForm, line_from_forms, line_on_fermat, lines_meet
+from .geometry import Incidence, Line, line_on_fermat, lines_meet
 from .surfaces import SurfaceModel, builtin_model, fermat_model, load_model, model_validate
 from .divisors import (
     Decomposition,
@@ -45,7 +45,6 @@ __all__ = [
     "HVector",
     "Incidence",
     "Line",
-    "LinearForm",
     "NonIntegralError",
     "OrderError",
     "Status",
@@ -64,7 +63,6 @@ __all__ = [
     "hvector_invariants",
     "is_m_connected",
     "k_invariant",
-    "line_from_forms",
     "line_on_fermat",
     "lines_meet",
     "link",

@@ -21,10 +21,9 @@ from .classify import (
     search_witness,
     verdict_json,
 )
-from .cyclo import OrderError
 from .divisors import chi, degree, genus, k_invariant
 from .exprs import ParseError, parse_line
-from .geometry import GeometryError, Incidence, lines_meet
+from .geometry import Incidence, lines_meet
 from .repro import (
     EXAMPLE_IDS,
     case_json,
@@ -37,7 +36,6 @@ from .repro import (
 from .surfaces import (
     BUILTIN_NAMES,
     MODEL_NAMES,
-    SurfaceError,
     builtin_model,
     fermat_model,
     load_model,
@@ -280,14 +278,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        GeometryError,
-        SurfaceError,
-        OrderError,
-        ValueError,
-        ZeroDivisionError,
-    ) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

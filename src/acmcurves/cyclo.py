@@ -8,9 +8,9 @@ coefficient inspection.  No floating point enters any decision; a complex
 embedding exists for debugging only.
 
 Values are immutable and operations are pure, so everything here is safe
-to share across threads.  The coefficient functions _normalize, _add, _sub
-and _mul work on raw numerator tuples; CycNum calls them directly.  _mul is
-one _convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
+to share across threads.  The coefficient functions _normalize, _add and
+_mul work on raw numerator tuples; CycNum calls them directly.  _mul is one
+_convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
 modulo Phi_n; the exact zero tests in geometry convolve many products into
 one buffer and fold it once.
 
@@ -30,7 +30,9 @@ Z[zeta_n] -> F_P.  Lifting z_m to z_n^(n/m) maps to W^(L/n * n/m) = W^(L/m),
 so the maps of all orders agree and residues of different orders need no
 lifting.  _residue applies the map to an integer numerator tuple; it never
 divides mod P.  A ring map sends 0 to 0, so a nonzero residue proves that
-the element is nonzero.
+the element is nonzero.  The residue of the numerators, with the
+denominator, is also the hash of an irrational value: lifting changes
+neither, Z[zeta_n] being the integers of Q(zeta_n) for every n.
 
 A zero residue proves zero under a norm bound.  The map is onto F_P, so
 its kernel is a prime of Z[zeta_n] of norm P, and an element x != 0 with a
@@ -92,32 +94,6 @@ def _check_order(n):
         )
 
 
-def totient(n):
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
-
-
-def mobius(n):
-    if n == 1:
-        return 1
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        else:
-            p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def _poly_div_exact(num, den):
     """Exact division of integer polynomials (den monic, ascending coeffs)."""
     num = list(num)
@@ -147,7 +123,7 @@ class CycOrder:
     """Precomputed reduction data for one cyclotomic order."""
 
     __slots__ = (
-        "n", "phi", "red_rows", "power_rows", "trace_vec", "residue_powers", "norm_steps",
+        "n", "phi", "red_rows", "power_rows", "residue_powers", "norm_steps",
     )
 
     def __init__(self, n):
@@ -175,12 +151,6 @@ class CycOrder:
             rows.append(row)
         self.power_rows = tuple(rows[:n])
         self.red_rows = tuple(rows[phi : 2 * phi - 1])
-        # normalized traces Tr(z^i)/phi(n), invariant under lifting
-        traces = []
-        for i in range(phi):
-            m = n // gcd(n, i) if i else 1
-            traces.append(Fraction(mobius(m), totient(m)))
-        self.trace_vec = tuple(traces)
         # images of z^u, u < phi, under z -> W^(L/n) in F_P
         step = pow(RESIDUE_ROOT, lcm(*range(1, MAX_ORDER + 1)) // n, RESIDUE_PRIME)
         self.residue_powers = tuple(pow(step, u, RESIDUE_PRIME) for u in range(phi))
@@ -228,14 +198,6 @@ def _add(anums, aden, bnums, bden):
         return _normalize([x + y for x, y in zip(anums, bnums)], aden)
     return _normalize(
         [x * bden + y * aden for x, y in zip(anums, bnums)], aden * bden
-    )
-
-
-def _sub(anums, aden, bnums, bden):
-    if aden == bden:
-        return _normalize([x - y for x, y in zip(anums, bnums)], aden)
-    return _normalize(
-        [x * bden - y * aden for x, y in zip(anums, bnums)], aden * bden
     )
 
 
@@ -422,13 +384,7 @@ class CycNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if _absorbs(self, other):
-            return self
-        if _absorbs(other, self):
-            return -other
-        a, b = self._align(other)
-        nums, den = _sub(a.nums, a.den, b.nums, b.den)
-        return _wrap(a.order, nums, den)
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -530,12 +486,12 @@ class CycNum:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        # normalized trace is invariant under lifting, so equal values in
-        # different orders hash alike
-        tv = get_order(self.order).trace_vec
-        t = sum((Fraction(c) * tv[i] for i, c in enumerate(self.nums)),
-                Fraction(0)) / self.den
-        return hash(t)
+        # the residue and the normalized denominator do not change under
+        # lifting, so equal values of different orders hash alike; a
+        # rational hashes as the Fraction it equals
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((_residue(self.nums, get_order(self.order)), self.den))
 
     def __bool__(self):
         return not self.is_zero()

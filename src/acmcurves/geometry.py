@@ -71,7 +71,6 @@ c_j = 0; any other c_j is one _dot over powers taken at the line's own
 order.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
 
@@ -95,33 +94,20 @@ class GeometryError(ValueError):
     pass
 
 
-def _as_cyc(value):
-    got = _coerce(value)
-    if got is None:
-        raise TypeError(f"expected a cyclotomic or rational coefficient, got {value!r}")
-    return got
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A linear form a0*x0 + a1*x1 + a2*x2 + a3*x3 with exact coefficients."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        coeffs = tuple(_as_cyc(c) for c in coeffs)
-        if len(coeffs) != 4:
-            raise GeometryError("a linear form needs exactly 4 coefficients")
-        if all(c.is_zero() for c in coeffs):
-            raise GeometryError("the zero form does not define a plane")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                parts.append(f"({c})*x{i}")
-        return " + ".join(parts)
+def _form(coeffs):
+    """The four coefficients of a linear form a0*x0 + ... + a3*x3 as values,
+    checked to be cyclotomic or rational, four, and not all zero."""
+    form = []
+    for value in coeffs:
+        got = _coerce(value)
+        if got is None:
+            raise TypeError(f"expected a cyclotomic or rational coefficient, got {value!r}")
+        form.append(got)
+    if len(form) != 4:
+        raise GeometryError("a linear form needs exactly 4 coefficients")
+    if all(c.is_zero() for c in form):
+        raise GeometryError("the zero form does not define a plane")
+    return tuple(form)
 
 
 # index pairs (i, j) of the Plücker coordinates p_ij, in storage order
@@ -142,21 +128,18 @@ def _scaled(coords, order):
 
 
 class Line:
-    """A line in P^3 as its Plücker minors, in the order of PLUCKER_INDICES,
-    with their residues mod RESIDUE_PRIME and the l1 norms of their
-    numerators, both scaled to integers by one common factor, and the RREF
-    pivot columns.  The canonical rank-2 RREF 2x4 matrix `rows`, its
-    Plücker coordinates `plucker` and their residues `image` are computed
-    together on first read."""
+    """A line in P^3 cut out by two linear forms, each four coefficients.
 
-    __slots__ = ("minors", "residues", "norms", "pivots", "rows", "plucker", "image")
+    It is kept as its Plücker minors, in the order of PLUCKER_INDICES, with
+    their residues mod RESIDUE_PRIME and the l1 norms of their numerators,
+    both scaled to integers by one common factor, and the RREF pivot
+    columns.  The canonical rank-2 RREF 2x4 matrix `rows` is computed on
+    first read."""
+
+    __slots__ = ("minors", "residues", "norms", "pivots", "rows")
 
     def __init__(self, f1, f2):
-        if not isinstance(f1, LinearForm):
-            f1 = LinearForm(f1)
-        if not isinstance(f2, LinearForm):
-            f2 = LinearForm(f2)
-        n, coeffs = _common_order(f1.coeffs + f2.coeffs)
+        n, coeffs = _common_order(_form(f1) + _form(f2))
         order = get_order(n)
         zero = _wrap(n, (0,) * order.phi, 1)
         coeffs = [c.lift(n) if any(c.nums) else zero for c in coeffs]
@@ -174,11 +157,11 @@ class Line:
         self.residues, self.norms = _scaled(minors, order)
 
     def __getattr__(self, name):
-        # reached only for an unset slot: the canonical fields on first read
-        if name not in ("rows", "plucker", "image"):
+        # reached only for an unset slot: the canonical rows on first read
+        if name != "rows":
             raise AttributeError(name)
         self._canonicalize()
-        return object.__getattribute__(self, name)
+        return self.rows
 
     def _canonicalize(self):
         minors = self.minors
@@ -188,16 +171,13 @@ class Line:
         pivot = minors[PLUCKER_INDICES.index(self.pivots)]
         # a pivot that is already 1 (every atlas line) needs no scaling;
         # read off the coefficients, since == 1 would lift the 1
-        if pivot.den == 1 and pivot.nums[0] == 1 and not any(pivot.nums[1:]):
-            self.plucker, self.image = minors, self.residues
-        else:
+        if pivot.den != 1 or pivot.nums != order.power_rows[0]:
             inv = pivot.inverse()
-            self.plucker = tuple(
+            minors = tuple(
                 _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
                 for p in minors
             )
-            self.image = _scaled(self.plucker, order)[0]
-        coord = dict(zip(PLUCKER_INDICES, self.plucker))
+        coord = dict(zip(PLUCKER_INDICES, minors))
         zero = _wrap(n, (0,) * order.phi, 1)
 
         def entry(i, j):  # p'_ij, with p'_ii = 0 and p'_ji = -p'_ij
@@ -261,11 +241,6 @@ class Line:
 
     def __repr__(self):
         return f"Line({self})"
-
-
-def line_from_forms(f1, f2):
-    """Canonicalized line cut out by two independent forms."""
-    return Line(f1, f2)
 
 
 class Incidence(Enum):

@@ -4,11 +4,11 @@ The package decides incidence with the Klein-quadric pairing of Plücker
 coordinates.  This module keeps the direct definition it replaced: the
 determinant of the 4x4 matrix stacking both lines' canonical forms, by
 recursive cofactor expansion with CycNum operators, and the pairing of the
-canonical Plücker coordinates as a CycNum to compare it with.
+canonical Plücker coordinates, read off the canonical rows with the same
+operators, to compare it with.
 """
 
-from acmcurves.cyclo import _normalize, _wrap, rational
-from acmcurves.geometry import _pairing
+from acmcurves.cyclo import rational
 
 
 def _det(mat):
@@ -38,8 +38,19 @@ def stacked_determinant(a, b):
     return _det([list(a.rows[0]), list(a.rows[1]), list(b.rows[0]), list(b.rows[1])])
 
 
+def _canonical_plucker(line):
+    """Plücker coordinates p_ij = r0[i]*r1[j] - r0[j]*r1[i] of the canonical
+    rows, i < j, in the package's storage order."""
+    r0, r1 = line.rows
+    return [r0[i] * r1[j] - r0[j] * r1[i] for i in range(4) for j in range(i + 1, 4)]
+
+
 def plucker_pairing(a, b):
     """Klein-quadric pairing of two lines' canonical Plücker coordinates,
-    as a cyclotomic number."""
-    n, nums, den = _pairing(a.plucker, b.plucker)
-    return _wrap(n, *_normalize(nums, den))
+    p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01, as a
+    cyclotomic number."""
+    p, q = _canonical_plucker(a), _canonical_plucker(b)
+    total = rational(0)
+    for k, sign in enumerate((1, -1, 1, 1, -1, 1)):
+        total = total + sign * p[k] * q[5 - k]
+    return total

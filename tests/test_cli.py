@@ -3,9 +3,14 @@
 import json
 import random
 
+import pytest
+
 from acmcurves.cli import main
-from acmcurves.divisors import chi, degree, genus, k_invariant
-from acmcurves.surfaces import fermat_model
+from acmcurves.cyclo import OrderError
+from acmcurves.divisors import ModelMismatchError, NonIntegralError, chi, degree, genus, k_invariant
+from acmcurves.exprs import ParseError
+from acmcurves.geometry import GeometryError
+from acmcurves.surfaces import SurfaceError, fermat_model
 
 
 def run(capsys, *argv):
@@ -266,3 +271,12 @@ def test_model_flag_resolution_failure(capsys):
     code, _, err = run(capsys, "invariants", "H", "--model", "nonexistent.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ParseError, GeometryError, SurfaceError, OrderError, NonIntegralError, ModelMismatchError],
+)
+def test_package_errors_are_value_errors(error):
+    # main reports every ValueError as "error: ..." with exit status 2
+    assert issubclass(error, ValueError)

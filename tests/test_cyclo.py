@@ -20,16 +20,18 @@ from acmcurves.cyclo import (
     _common_order,
     _mul,
     _residue,
-    _sub,
     cyclotomic_polynomial,
     get_order,
     rational,
-    totient,
     zeta,
 )
 from acmcurves.exprs import parse_scalar
 
 from strategies import elements
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def test_roots_of_unity_basics():
@@ -189,7 +191,8 @@ def _by_lifting(op, a, b):
     a, b = a.lift(n), b.lift(n)
     if op == "*":
         return (n, *_mul(a.nums, a.den, b.nums, b.den, get_order(n).red_rows))
-    return (n, *(_add if op == "+" else _sub)(a.nums, a.den, b.nums, b.den))
+    bnums = b.nums if op == "+" else tuple(-v for v in b.nums)
+    return (n, *_add(a.nums, a.den, bnums, b.den))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -261,6 +264,19 @@ def test_equality_and_hash_across_orders():
     half_lifted = rational(1, 2).lift(8)
     assert half_lifted == rational(1, 2)
     assert hash(half_lifted) == hash(rational(1, 2))
+    assert len({rational(3), 3, Fraction(3)}) == 1
+    assert {zeta(5): "found"}[zeta(5).lift(40)] == "found"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(3, MAX_ORDER).flatmap(lambda m: elements(m)))
+def test_hash_and_denominator_survive_lifting(x):
+    assume(not x.is_rational())
+    for n in range(x.order, MAX_ORDER + 1, x.order):
+        lifted = x.lift(n)
+        assert lifted == x
+        assert hash(lifted) == hash(x)
+        assert lifted.den == x.den
 
 
 def test_rational_extraction_and_powers():

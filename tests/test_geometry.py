@@ -10,8 +10,6 @@ from acmcurves.geometry import (
     GeometryError,
     Incidence,
     Line,
-    LinearForm,
-    line_from_forms,
     line_on_fermat,
     lines_meet,
 )
@@ -45,14 +43,39 @@ def test_canonicalization_is_row_space_invariant():
 
 def test_rank_one_rejected():
     with pytest.raises(GeometryError):
-        line_from_forms(
-            (ONE, ONE, ZERO, ZERO), (rational(2), rational(2), ZERO, ZERO)
-        )
+        Line((ONE, ONE, ZERO, ZERO), (rational(2), rational(2), ZERO, ZERO))
 
 
 def test_zero_form_rejected():
     with pytest.raises(GeometryError):
-        LinearForm((ZERO, ZERO, ZERO, ZERO))
+        Line((ZERO, ZERO, ZERO, ZERO), (ONE, ZERO, ZERO, ZERO))
+
+
+_TYPE = "expected a cyclotomic or rational coefficient, got "
+_COUNT = "a linear form needs exactly 4 coefficients"
+_ZERO = "the zero form does not define a plane"
+
+
+@pytest.mark.parametrize(
+    "f1, f2, error, text",
+    [
+        # each coefficient is checked first, then the count, then zero,
+        # and the first form before the second
+        (("x", 0, 0, 0), (1, 0, 0, 0), TypeError, _TYPE + "'x'"),
+        ((0, 0, 0, "y"), ("x", 0, 0, 0), TypeError, _TYPE + "'y'"),
+        ((1.5, 0, 0, 0), (0, 0, 0, 0), TypeError, _TYPE + "1.5"),
+        ((0, 0, "x"), (1, 0, 0, 0), TypeError, _TYPE + "'x'"),
+        ((0, 0, 0), (1, 0, 0, 0), GeometryError, _COUNT),
+        ((0, 0, 0, 0, 0), (1, 0, 0, 0), GeometryError, _COUNT),
+        ((0, 0, 0, 0), (1, 0, 0), GeometryError, _ZERO),
+        ((1, 0, 0, 0), (0, 0, 0), GeometryError, _COUNT),
+        ((1, 0, 0, 0), (0, 0, 0, 0), GeometryError, _ZERO),
+    ],
+)
+def test_form_errors_come_in_order(f1, f2, error, text):
+    with pytest.raises(error) as err:
+        Line(f1, f2)
+    assert type(err.value) is error and str(err.value) == text
 
 
 def test_skew_pair_determinant(skew_pair):

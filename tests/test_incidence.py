@@ -78,7 +78,7 @@ def test_no_atlas_pair_takes_the_exact_pairing(request, monkeypatch, fixture, nm
 
 
 def _residue_pairing(a, b):
-    p, q = a.image, b.image
+    p, q = a.residues, b.residues
     return (
         p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
     ) % RESIDUE_PRIME

@@ -9,35 +9,27 @@ vanish (a minor divisible by the residue prime), and then only exact
 arithmetic may decide.
 """
 
-from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from acmcurves.cyclo import RESIDUE_PRIME, CycNum, _common_order, _residue, _wrap, get_order
+from acmcurves.cyclo import RESIDUE_PRIME, CycNum, _common_order, _wrap
 from acmcurves.exprs import parse_line, parse_linear_form
-from acmcurves.geometry import (
-    PLUCKER_INDICES,
-    GeometryError,
-    Incidence,
-    Line,
-    LinearForm,
-    lines_meet,
-)
+from acmcurves.geometry import GeometryError, Incidence, Line, lines_meet
 
 from det_oracle import _det
 from rref_oracle import canonical_rows
 from strategies import ORDERS, coefficients, forms
 
 LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
-_CANONICAL = ("rows", "plucker", "image")
+_CANONICAL = ("rows",)
 
 
 def _oracle_rows(f1, f2):
     """The oracle's canonical rows as values, and its pivot columns."""
-    rows, pivots = canonical_rows(LinearForm(f1).coeffs, LinearForm(f2).coeffs)
+    rows, pivots = canonical_rows([CycNum(c) for c in f1], [CycNum(c) for c in f2])
     return [[_wrap(*c) for c in row] for row in rows], pivots
 
 
@@ -110,19 +102,6 @@ def _expected_incidence(text_a, text_b):
     return Incidence.MEET
 
 
-def _plucker_and_image(rows):
-    """Plücker coordinates of canonical rows, by CycNum operators, and their
-    residues after scaling by the lcm of the denominators."""
-    r0, r1 = rows
-    plucker = [r0[i] * r1[j] - r0[j] * r1[i] for i, j in PLUCKER_INDICES]
-    scale = lcm(*(p.den for p in plucker))
-    order = get_order(plucker[0].order)
-    image = tuple(
-        _residue([v * (scale // p.den) for v in p.nums], order) for p in plucker
-    )
-    return [(p.order, p.nums, p.den) for p in plucker], image
-
-
 def test_literal_pairs_meet_without_inverting_or_canonicalizing(monkeypatch):
     pairs = _literal_pairs()
     assert len(pairs) == 144
@@ -147,9 +126,6 @@ def test_literal_pairs_meet_without_inverting_or_canonicalizing(monkeypatch):
             rows, pivots = canonical_rows(f1, f2)
             assert [[(c.order, c.nums, c.den) for c in row] for row in line.rows] == rows
             assert list(line.pivots) == pivots
-            plucker, image = _plucker_and_image(_oracle_rows(f1, f2)[0])
-            assert [(p.order, p.nums, p.den) for p in line.plucker] == plucker
-            assert line.image == image
             assert _canonical_read(line) == list(_CANONICAL)
 
 

@@ -29,12 +29,7 @@ def _rep(c):
 
 
 def _state(line):
-    return (
-        tuple(tuple(_rep(c) for c in row) for row in line.rows),
-        line.pivots,
-        tuple(_rep(p) for p in line.plucker),
-        line.image,
-    )
+    return tuple(tuple(_rep(c) for c in row) for row in line.rows), line.pivots
 
 
 def _outcome(parse, text):
