@@ -17,8 +17,9 @@ Gamma1 tried part by part), the remaining parts as named lines or as one
 summed role, and the required products.  One interpreter, _match, reads
 every shape into the verdict trace, and the same record tells the search
 which candidates to build: a Dtilde lead scans the plane quartics H - L
-with a line residual, other line roles read the twist as a nonnegative
-line vector, and a shape with no roles takes the effectivity certificate.
+with a line residual, other line roles read the twist's lines off its
+intersection vector, and a shape with no roles takes the effectivity
+certificate.
 
 Soundness policy: absence of a witness never upgrades CONDITIONAL to ACM,
 because emptiness of the relevant linear systems is not decidable from
@@ -34,6 +35,7 @@ from .divisors import (
     certify_effective,
     degree,
     genus,
+    intersections,
     pair,
 )
 
@@ -514,18 +516,6 @@ def check_witness(prop_id, target, witness):
     return _judge(spec, trace, twists, witness)
 
 
-def _line_parts_from(residual):
-    """Read a nonnegative atlas-line vector as (class, mult) parts, or None."""
-    model = residual.model
-    if residual.coeffs[0] != 0 or any(c < 0 for c in residual.coeffs[1:]):
-        return None
-    parts = []
-    for i, c in enumerate(residual.coeffs[1:], start=1):
-        if c:
-            parts.append((model.gen_class(model.generators[i]), c))
-    return tuple(parts) or None
-
-
 def search_witness(prop_id, target, bound=None):
     """Bounded deterministic search for a witness over the model's atlas.
 
@@ -550,31 +540,37 @@ def search_witness(prop_id, target, bound=None):
     return None
 
 
+def _lines(model, vec):
+    """The sum of at most s = d - 2 atlas lines with intersection vector vec,
+    as (class, mult) parts in generator order (() for 0), or None.  A line has
+    square -s and meets another at most once, so such a sum S pairs negatively
+    with each of its lines L, S.L = -s*mult + (at most s - mult), nonnegatively
+    with every other line, and with H in the number of its lines."""
+    s = model.degree - 2
+    mults = {j: -(v // s) for j, v in enumerate(vec) if v < 0}
+    coeffs = [mults.get(j, 0) for j in range(len(vec))]
+    if vec[0] > s or sum(coeffs) != vec[0] or tuple(intersections(model, coeffs)) != vec:
+        return None
+    return tuple((model.gen_class(model.generators[j]), m) for j, m in mults.items())
+
+
 def _candidates(shape, twist):
-    """Witnesses to try for one clause, read off the clause's shape."""
+    """Witnesses for one clause, read off its shape and the twist's intersection vector."""
     model = twist.model
     if shape.lead == "Dtilde":
-        # a plane quartic H - L_i, and lines for the rest: the residual
-        # r + e_i, r = twist - H, is a nonzero nonnegative line vector only
-        # for every i when r is, or for the one i where r has its only
-        # negative entry, -1, when r has a positive entry too
-        H = model.hyperplane_class
-        r = (twist - H).coeffs
-        negative = [i for i, c in enumerate(r) if c < 0]
-        if r[0] or len(negative) > 1:
-            return
-        if not negative:
-            hits = range(1, len(r))
-        elif r[negative[0]] == -1 and any(c > 0 for c in r):
-            hits = negative
-        else:
-            return
-        for i in hits:
-            quartic = H - model.gen_class(model.generators[i])
-            yield Decomposition(((quartic, 1),) + _line_parts_from(twist - quartic))
+        # a plane quartic H - L_i and lines r + L_i, r = twist - H; unless r is
+        # lines, L_i is not among them, so (r + L_i).L_i >= 0, i.e. r.L_i >= s
+        r = tuple(intersections(model, (twist - model.hyperplane_class).coeffs))
+        every = _lines(model, r) is not None
+        for i in range(1, len(r)):
+            if every or r[i] >= model.degree - 2:
+                rest = _lines(model, tuple(x + y for x, y in zip(r, model.gram[i])))
+                if rest:
+                    quartic = model.hyperplane_class - model.gen_class(model.generators[i])
+                    yield Decomposition(((quartic, 1),) + rest)
     elif shape.lead or shape.lines:
-        parts = _line_parts_from(twist)
-        if parts is not None:
+        parts = _lines(model, tuple(intersections(model, twist.coeffs)))
+        if parts:
             yield Decomposition(parts)
     else:
         cert = certify_effective(twist)

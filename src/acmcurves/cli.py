@@ -15,6 +15,8 @@ from .classify import (
     QUINTIC_ACM,
     QUINTIC_CONDITIONAL,
     Status,
+    Verdict,
+    _header,
     check_witness,
     classify_numeric,
     render_verdict,
@@ -151,6 +153,11 @@ def _cmd_classify(args):
 def _cmd_witness(args):
     model = _resolve_model(args.model)
     target = model.parse(args.target)
+    spec, trace, twists = _header(args.prop, target)
+    if twists is None:  # the rule does not apply to the target
+        v = Verdict(Status.INVALID, spec.prop_id, trace)
+        print(json.dumps({"found": False, **verdict_json(v)}) if args.json else render_verdict(v))
+        return 2
     found = search_witness(args.prop, target, bound=args.bound)
     if found is None:
         if args.json:

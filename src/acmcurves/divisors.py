@@ -1,10 +1,10 @@
 """Divisor-class calculus over a surface lattice model.
 
 Classes are integer vectors over a model's generators; the pairing extends
-the Gram matrix bilinearly.  Classes compare and hash equal when numerically
-equivalent (they pair alike with every generator), and print and test
-is_zero as written; search_witness still reads a twist coefficient by
-coefficient.  Genus and chi follow the adjunction and Riemann-Roch shapes
+the Gram matrix bilinearly.  A class is known up to numerical equivalence by
+its intersection vector Gram.coeffs (intersections), which equality, hashing
+and search_witness all read; a class prints and tests is_zero as written.
+Genus and chi follow the adjunction and Riemann-Roch shapes
 and are defined for arbitrary integer classes, not just effective ones; a
 non-integral value is an error that proves the class cannot occur as stated.
 """
@@ -74,13 +74,12 @@ class DivClass:
             return False
         if self.coeffs == other.coeffs:
             return True
-        diff = [(j, x - y) for j, (x, y) in enumerate(zip(self.coeffs, other.coeffs)) if x != y]
-        return not any(sum(row[j] * c for j, c in diff) for row in self.model.gram)
+        diff = [x - y for x, y in zip(self.coeffs, other.coeffs)]
+        return not any(intersections(self.model, diff))
 
     def __hash__(self):
         """Hash of the intersection vector Gram.coeffs, equal on equal classes."""
-        nonzero = [(j, c) for j, c in enumerate(self.coeffs) if c]
-        return hash(tuple(sum(row[j] * c for j, c in nonzero) for row in self.model.gram))
+        return hash(tuple(intersections(self.model, self.coeffs)))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -92,6 +91,13 @@ class DivClass:
 
     def __repr__(self):
         return f"DivClass({self})"
+
+
+def intersections(model, coeffs):
+    """Gram.coeffs as an iterator: a class's products with the generators, all 0
+    exactly when the class is numerically zero."""
+    cols = [[row[j] * c for row in model.gram] for j, c in enumerate(coeffs) if c]
+    return map(sum, zip(*cols or [[0] * len(model.gram)]))
 
 
 def _class(model, coeffs):

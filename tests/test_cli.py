@@ -178,13 +178,31 @@ def test_witness_search_found(capsys):
 
 
 def test_witness_search_none(capsys):
+    # degree 5 and genus 2, as P4.8 requires, and no witness among the atlas candidates
     code, out, _ = run(
         capsys,
         "witness", "search", "--prop", "P4.8",
-        "--target", "H - L[01|23](0,0) + L[02|13](0,1)",
+        "--target", "H + L[01|23](0,2) + L[01|23](2,2) - L[01|23](3,0) - L[01|23](3,1)",
     )
     assert code == 0
     assert "no witness found" in out
+
+
+def test_witness_search_outside_the_header_is_invalid(capsys):
+    # H has degree 5 and genus 6, not P4.7's (7, 5): the rule does not apply
+    argv = ("witness", "search", "--prop", "P4.7", "--target", "H")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[0] == "INVALID rule=P4.7"
+    assert "check target (deg, genus): (5, 6) (expected (7, 5))" in out
+    assert "no witness found" not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == 2
+    assert (doc["found"], doc["status"], doc["rule"], doc["witness"]) == (
+        False, "INVALID", "P4.7", None)
+    assert doc["trace"][-1] == {"name": "target (deg, genus)", "value": [5, 6],
+                                "expected": [7, 5], "ok": False}
 
 
 def test_witness_search_json(capsys):

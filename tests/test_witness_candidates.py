@@ -1,23 +1,38 @@
-"""Plane-quartic witness candidates against the loop they replaced.
+"""Plane-quartic witness candidates against the coefficient reader they replaced.
 
 A Dtilde lead pairs a plane quartic H - L_i with the line residual
-twist - (H - L_i).  The search reads the qualifying i off r = twist - H in
-one pass; the oracle below subtracts and inspects the residual for every
-atlas line, as the search once did.  Both must yield the same candidates
-in the same order.
+twist - (H - L_i).  The search reads each residual off its intersection
+vector (_lines); the oracle below reads the residual's coefficients as a
+nonnegative line vector, as the search once did.  No shape takes more than
+s = d - 2 residual lines, so the oracle's candidates with at most s of them
+must appear, in the same order, among the search's.  The search may find
+more, where the coefficients hide the lines: 2H - L_a - L_b - L_c for three
+lines of one plane is H plus the other two.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmcurves.classify import SHAPES, TWISTS, _candidates, _line_parts_from, _twist_class
-from acmcurves.divisors import Decomposition, link
+from acmcurves.classify import SHAPES, TWISTS, _candidates, _lines, _twist_class
+from acmcurves.divisors import Decomposition, intersections, link
 from acmcurves.surfaces import fermat_model
 
 from witness_targets import TARGETS
 
 _QUARTIC_LEAD = SHAPES["quartic_plus_conic"]
+
+
+def _line_parts_from(residual):
+    """Read a nonnegative atlas-line vector as (class, mult) parts, or None."""
+    model = residual.model
+    if residual.coeffs[0] != 0 or any(c < 0 for c in residual.coeffs[1:]):
+        return None
+    parts = []
+    for i, c in enumerate(residual.coeffs[1:], start=1):
+        if c:
+            parts.append((model.gen_class(model.generators[i]), c))
+    return tuple(parts) or None
 
 
 def _oracle_candidates(twist):
@@ -30,11 +45,27 @@ def _oracle_candidates(twist):
             yield Decomposition(((quartic, 1),) + rest)
 
 
+def _written(parts):
+    return [(str(cls), mult) for cls, mult in parts]
+
+
 def _assert_same_candidates(twist):
-    got, want = list(_candidates(_QUARTIC_LEAD, twist)), list(_oracle_candidates(twist))
-    assert got == want
-    # == is numerical equivalence; the candidates must also be written alike
-    assert [str(c) for c in got] == [str(c) for c in want]
+    """The oracle's candidates with at most s residual lines, in order among
+    the search's, each of which is a plane quartic H - L_i plus the lines
+    that _lines reads off the residual.  Candidates are compared as written,
+    since == is numerical equivalence."""
+    model = twist.model
+    got = [str(c) for c in _candidates(_QUARTIC_LEAD, twist)]
+    want = [str(c) for c in _oracle_candidates(twist)
+            if sum(mult for _, mult in c.parts[1:]) <= model.degree - 2]
+    at = [got.index(w) for w in want if w in got]
+    assert len(at) == len(want) and at == sorted(at), (got, want)
+    for cand in _candidates(_QUARTIC_LEAD, twist):
+        (quartic, one), rest = cand.parts[0], cand.parts[1:]
+        assert one == 1 and str(model.hyperplane_class - quartic) in model.line_names()
+        residual = twist - quartic
+        assert Decomposition(rest).total == residual
+        assert _written(rest) == _written(_lines(model, tuple(intersections(model, residual.coeffs))))
 
 
 @pytest.mark.parametrize("prop", sorted(TARGETS))
@@ -76,3 +107,13 @@ def test_the_oracle_cases_are_all_reached(fermat5):
     for twist in (H - lines[1], H - 2 * lines[1] + lines[2], H - lines[0] - lines[1] + lines[2],
                   2 * H, lines[0]):
         assert list(_candidates(_QUARTIC_LEAD, twist)) == [] == list(_oracle_candidates(twist))
+
+
+def test_the_search_reads_lines_the_coefficients_hide(fermat5):
+    # three lines of one plane: 2H - L_a - L_b - L_c is H + L_d + L_e
+    a, b, c = (fermat5.parse(f"L[01|23](0,{j})") for j in range(3))
+    twist = 2 * fermat5.hyperplane_class - a - b - c
+    assert list(_oracle_candidates(twist)) == []
+    got = list(_candidates(_QUARTIC_LEAD, twist))
+    assert len(got) == 75 and all(cand.total == twist for cand in got)
+    assert str(got[0]) == "H - L[01|23](0,0) | L[01|23](0,0) | L[01|23](0,3) | L[01|23](0,4)"
