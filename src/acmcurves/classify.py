@@ -7,8 +7,8 @@ conditions and unchecked cohomological obligations recorded in the trace.
 A witness is decided in two halves: _header checks the target against the
 rule's header and builds each clause's twist, once per target, and _judge
 certifies one decomposition's parts and matches them against the clauses.
-check_witness runs both once; search_witness runs _header once and _judge
-on each candidate it builds over the model's registered effective classes.
+check_witness runs both once; _search takes one header and returns the first
+NOT_ACM verdict _judge gives a candidate built over the registered classes.
 
 Each clause of a rule names a twist of the target (TWISTS: a multiple of
 H plus or minus D) and a shape (SHAPES).  A Shape is data: the allowed
@@ -125,17 +125,6 @@ QUINTIC_ACM_ALIASES = {
     (3, 6): "Cor4.1",
 }
 
-# (k, deg) -> witness rule that would certify a non-aCM curve
-QUINTIC_CONDITIONAL = {
-    (0, 10): "P4.5",
-    (1, 9): "C4.2",
-    (2, 7): "P4.4",
-    (2, 8): "C4.3",
-    (3, 7): "P4.7",
-    (4, 5): "P4.8",
-    (4, 6): "P4.6",
-}
-
 # (genus, deg) -> rule, for the quartic table
 QUARTIC_ACM = {
     (0, 1): "Prop2.1(a)",
@@ -145,8 +134,6 @@ QUARTIC_ACM = {
     (1, 4): "Prop2.1(b)",
     (2, 5): "Prop2.1(c)",
 }
-
-QUARTIC_CONDITIONAL = {(3, 6): "P2.2"}
 
 
 def nonacm_exists(d, k):
@@ -319,6 +306,13 @@ WITNESS_SPECS = {
         ),
     ),
 }
+
+# the witness rule that would certify a non-aCM curve: (k, deg) -> rule on a
+# quintic, (genus, deg) -> rule on a quartic
+QUINTIC_CONDITIONAL = {(w.deg + 1 - w.genus, w.deg): w.prop_id
+                       for w in WITNESS_SPECS.values() if w.surface_degree == 5}
+QUARTIC_CONDITIONAL = {(w.genus, w.deg): w.prop_id
+                       for w in WITNESS_SPECS.values() if w.surface_degree == 4}
 
 
 # twist tag -> (multiple of H, sign of D): the twist is m*H + s*D
@@ -526,17 +520,22 @@ def search_witness(prop_id, target, bound=None):
     search was exhausted without a certificate; it does NOT prove the
     curve aCM.
     """
-    spec, trace, twists = _header(prop_id, target)
+    verdict = _search(target, _header(prop_id, target), bound)
+    return None if verdict is None else verdict.witness
+
+
+def _search(target, header, bound):
+    """The NOT_ACM verdict of the first candidate _judge accepts, else None."""
+    spec, trace, twists = header
     if target.model.lines is None:
         raise ValueError(f"model {target.model.name} has no line atlas to search")
-    if twists is None:
-        return None
-    for clause, twist in zip(spec.clauses, twists):
+    for clause, twist in zip(spec.clauses, twists or ()):
         if bound is not None and degree(twist) > bound:
             continue  # every candidate of the clause sums to its twist
         for cand in _candidates(SHAPES[clause.shape], twist):
-            if _judge(spec, trace, twists, cand).status is Status.NOT_ACM:
-                return cand
+            verdict = _judge(spec, trace, twists, cand)
+            if verdict.status is Status.NOT_ACM:
+                return verdict
     return None
 
 

@@ -17,10 +17,9 @@ from .classify import (
     Status,
     Verdict,
     _header,
-    check_witness,
+    _search,
     classify_numeric,
     render_verdict,
-    search_witness,
     verdict_json,
 )
 from .divisors import chi, degree, genus, k_invariant
@@ -153,24 +152,23 @@ def _cmd_classify(args):
 def _cmd_witness(args):
     model = _resolve_model(args.model)
     target = model.parse(args.target)
-    spec, trace, twists = _header(args.prop, target)
+    spec, trace, twists = header = _header(args.prop, target)
     if twists is None:  # the rule does not apply to the target
         v = Verdict(Status.INVALID, spec.prop_id, trace)
         print(json.dumps({"found": False, **verdict_json(v)}) if args.json else render_verdict(v))
         return 2
-    found = search_witness(args.prop, target, bound=args.bound)
-    if found is None:
+    verdict = _search(target, header, args.bound)
+    if verdict is None:
         if args.json:
             print(json.dumps({"found": False}))
         else:
             print("no witness found within the bound "
                   "(the search is incomplete; absence does not prove aCM)")
         return 0
-    verdict = check_witness(args.prop, target, found)
     if args.json:
         print(json.dumps({"found": True, **verdict_json(verdict)}))
     else:
-        print(f"witness: {found}")
+        print(f"witness: {verdict.witness}")
         print(render_verdict(verdict))
     return 0
 

@@ -11,6 +11,7 @@ non-integral value is an error that proves the class cannot occur as stated.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -37,7 +38,7 @@ class DivClass:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(v) for v in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         if len(coeffs) != self.model.ngens:
             raise ValueError(
                 f"expected {self.model.ngens} coefficients, got {len(coeffs)}"
@@ -174,7 +175,7 @@ class Decomposition:
     parts: tuple  # ((DivClass, mult), ...)
 
     def __post_init__(self):
-        parts = tuple((cls, int(mult)) for cls, mult in self.parts)
+        parts = tuple((cls, operator.index(mult)) for cls, mult in self.parts)
         if not parts:
             raise ValueError("a decomposition needs at least one part")
         model = parts[0][0].model
@@ -312,7 +313,7 @@ class HVector:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(map(operator.index, self.entries))
         if any(v < 0 for v in entries):
             raise ValueError("h-vector entries must be nonnegative")
         if entries and entries[0] < 1:
@@ -340,40 +341,27 @@ def certify_effective(d):
     """Sufficient effectivity certificate.
 
     A class passes when it is a nonnegative combination of the registered
-    effective classes (generators, and for Fermat atlases also the residual
-    plane curves H - L cut on a plane through an atlas line), or when the
-    quintic degree-1 self-intersection criterion applies.  Failure does not
-    prove the class ineffective.
+    effective classes (generators, and on a model with a line atlas also the
+    residual plane curves H - L cut on a plane through an atlas line), or when
+    the quintic degree-1 self-intersection criterion applies.  Failure does
+    not prove the class ineffective.
     """
     model = d.model
     if d.is_zero():
         return EffectivityCertificate(True, "zero class", ())
-    if model.kind == "fermat":
-        c_h = d.coeffs[0]
-        need = sum(-c for c in d.coeffs[1:] if c < 0)
-        if need <= c_h:
-            parts = []
-            if c_h - need:
-                parts.append((model.hyperplane_class, c_h - need))
-            for i, c in enumerate(d.coeffs[1:], start=1):
-                if c:
-                    gen = model.gen_class(model.generators[i])
-                    parts.append((gen, c) if c > 0 else (model.hyperplane_class - gen, -c))
-            return EffectivityCertificate(
-                True,
-                "nonnegative combination of H, atlas lines, and residual plane curves",
-                tuple(parts),
-            )
-    else:
-        if all(c >= 0 for c in d.coeffs):
-            parts = tuple(
-                (model.gen_class(model.generators[i]), c)
-                for i, c in enumerate(d.coeffs)
-                if c
-            )
-            return EffectivityCertificate(
-                True, "nonnegative combination of registered generators", parts
-            )
+    atlas = model.lines is not None
+    coeffs = list(d.coeffs)
+    if atlas:  # generator 0 is H; it pays for each negative line coefficient as H - L
+        coeffs[0] += sum(c for c in coeffs[1:] if c < 0)
+    if coeffs[0] >= 0 and (atlas or min(coeffs) >= 0):
+        H, parts = model.hyperplane_class, []
+        for i, c in enumerate(coeffs):
+            if c:
+                gen = H if atlas and not i else model.gen_class(model.generators[i])
+                parts.append((gen, c) if c > 0 else (H - gen, -c))
+        return EffectivityCertificate(True, (
+            "nonnegative combination of H, atlas lines, and residual plane curves" if atlas
+            else "nonnegative combination of registered generators"), tuple(parts))
     if model.degree == 5 and degree(d) == 1 and pair(d, d) == -3:
         return EffectivityCertificate(
             True, "degree-1 class with self-intersection -3", ((d, 1),)

@@ -283,16 +283,11 @@ def _aligned(p, q):
     return get_order(n), p, q
 
 
-def _pairing(p, q):
-    """Klein-quadric pairing of two Plücker tuples as unnormalized (order, nums, den)."""
-    order, p, q = _aligned(p, q)
-    return (order.n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), order))
-
-
 def _pairing_numerators(a, b):
     """Klein-quadric pairing of two lines' minors as unnormalized (order,
     nums, den): zero exactly when the canonical pairing is."""
-    return _pairing(a.minors, b.minors)
+    order, p, q = _aligned(a.minors, b.minors)
+    return (order.n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), order))
 
 
 def lines_meet(a, b):

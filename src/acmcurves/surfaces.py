@@ -21,6 +21,10 @@ from .divisors import DivClass, _class, pair
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
 FERMAT_DEGREES = (4, 5)
+# caps on a custom document, so that model_validate eliminates its Gram in
+# about a second
+MAX_CUSTOM_GENERATORS = 128
+MAX_CUSTOM_ENTRY = 2**16
 
 # coordinate pairings {pq|rs}: forms x_p + alpha*x_q and x_r + beta*x_s
 PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
@@ -259,9 +263,11 @@ def load_model(source):
     """Custom model from a JSON document (path, JSON text, or dict).
 
     Expected fields: name:string, kind:"custom", chi0:int, generators:[string],
-    gram:[[int]], hyperplane:[int], canonical:[int].  Any other type, a
-    bool or 1.5 among the ints included, raises SurfaceError.  The values
-    are trusted as given; run model_validate to inspect their consistency.
+    gram:[[int]], hyperplane:[int], canonical:[int].  Any other type (a
+    bool or 1.5 among the ints included), more than MAX_CUSTOM_GENERATORS
+    generators, or an integer of absolute value MAX_CUSTOM_ENTRY or more raises
+    SurfaceError.  The values are trusted as given; run model_validate to
+    inspect their consistency.
     """
     if isinstance(source, dict):
         doc = source
@@ -273,8 +279,10 @@ def load_model(source):
             else:
                 with open(text, "r", encoding="utf-8") as fh:
                     doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SurfaceError(f"cannot read custom model document: {exc}") from exc
+        except ValueError as exc:  # an integer over Python's digit limit
+            raise SurfaceError("custom model document has an integer with |value| >= 2^16") from exc
     if not isinstance(doc, dict):
         raise SurfaceError("a custom model document must be a JSON object")
     required = {"name", "kind", "chi0", "generators", "gram", "hyperplane", "canonical"}
@@ -288,6 +296,9 @@ def load_model(source):
     if type(doc["chi0"]) is not int:
         raise SurfaceError(f"custom model field chi0 must be an int, got {doc['chi0']!r}")
     generators = _entries(doc["generators"], "generators", str)
+    if len(generators) > MAX_CUSTOM_GENERATORS:
+        raise SurfaceError(f"custom model field generators has {len(generators)} entries, "
+                           f"more than {MAX_CUSTOM_GENERATORS}")
     return SurfaceModel(
         name=doc["name"],
         kind="custom",
@@ -296,7 +307,7 @@ def load_model(source):
         gram=tuple(_entries(row, "gram", int) for row in _entries(doc["gram"], "gram", list)),
         hyperplane=_entries(doc["hyperplane"], "hyperplane", int),
         canonical=_entries(doc["canonical"], "canonical", int),
-        chi0=doc["chi0"],
+        chi0=_entries([doc["chi0"]], "chi0", int)[0],
         gen_genus=(None,) * len(generators),
     )
 
@@ -306,6 +317,8 @@ def _entries(value, field, kind):
     1.5 where an int is due is refused, not read as an int."""
     if not isinstance(value, list) or any(type(v) is not kind for v in value):
         raise SurfaceError(f"custom model field {field} must be a list of {kind.__name__} values")
+    if kind is int and any(abs(v) >= MAX_CUSTOM_ENTRY for v in value):
+        raise SurfaceError(f"custom model field {field} has an integer with |value| >= 2^16")
     return tuple(value)
 
 

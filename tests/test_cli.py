@@ -5,12 +5,16 @@ import random
 
 import pytest
 
+from acmcurves import classify, cli
+from acmcurves.classify import check_witness, render_verdict, search_witness
 from acmcurves.cli import main
 from acmcurves.cyclo import OrderError
 from acmcurves.divisors import ModelMismatchError, NonIntegralError, chi, degree, genus, k_invariant
 from acmcurves.exprs import ParseError
 from acmcurves.geometry import GeometryError
-from acmcurves.surfaces import SurfaceError, fermat_model
+from acmcurves.surfaces import SurfaceError, fermat_model, named_model
+
+from witness_targets import TARGETS
 
 
 def run(capsys, *argv):
@@ -205,6 +209,36 @@ def test_witness_search_outside_the_header_is_invalid(capsys):
                                 "expected": [7, 5], "ok": False}
 
 
+def _counting(monkeypatch, *names):
+    """Count the calls of the named classify functions, made in classify or in cli."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(classify, name)):
+            calls[_name] += 1
+            return _f(*args)
+        for module in (classify, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("prop", sorted(TARGETS))
+def test_witness_search_judges_each_query_once(monkeypatch, capsys, prop):
+    model_name, text = TARGETS[prop]
+    target = named_model(model_name).parse(text)
+    with monkeypatch.context() as patch:
+        alone = _counting(patch, "_judge")
+        found = search_witness(prop, target, bound=10)
+    assert found is not None
+    calls = _counting(monkeypatch, "_header", "_judge")
+    code, out, _ = run(capsys, "witness", "search", "--prop", prop, "--target", text,
+                       "--model", model_name, "--bound", "10")
+    assert code == 0
+    assert calls == {"_header": 1, "_judge": alone["_judge"]}
+    monkeypatch.undo()
+    assert out == f"witness: {found}\n{render_verdict(check_witness(prop, target, found))}\n"
+
+
 def test_witness_search_json(capsys):
     code, out, _ = run(
         capsys,
@@ -266,6 +300,24 @@ def test_model_show_malformed_custom_json(tmp_path, capsys):
         code, out, err = run(capsys, "model", "show", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "custom model" in err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"name": "big", "kind": "custom", "chi0": 1, "generators": ["G"] * 129,
+                "gram": [[0] * 129] * 129, "hyperplane": [0] * 129, "canonical": [0] * 129}),
+    json.dumps({"name": "x", "kind": "custom", "chi0": 1, "generators": ["H"],
+                "gram": [[2**16]], "hyperplane": [1], "canonical": [0]}),
+    '{"name": "x", "kind": "custom", "chi0": 1' + "0" * 5000 + ', "generators": ["H"], '
+    '"gram": [[1]], "hyperplane": [1], "canonical": [0]}',
+    '{"name": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["129-generators", "gram-2^16", "chi0-5001-digits", "nested-100000-deep"])
+def test_model_show_refuses_a_document_over_the_caps(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "model", "show", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "custom model" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_lines_list(capsys):

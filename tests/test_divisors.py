@@ -3,12 +3,14 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from acmcurves.divisors import (
     MAX_CONNECTEDNESS_SPLITS,
     Decomposition,
+    DivClass,
     HVector,
     ModelMismatchError,
     NonIntegralError,
@@ -235,6 +237,30 @@ def test_hvector_invariants():
     assert hvector_invariants(HVector((1,))) == (1, 0)
     assert hvector_invariants(HVector((1, 2, 2))) == (5, 2)
     assert hvector_invariants((1, 3, 3, 2)) == (9, 7)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(2), "2"])
+def test_divclass_refuses_non_integral_coefficients(fermat5, bad):
+    with pytest.raises(TypeError):
+        DivClass(fermat5, (bad,) + (0,) * 75)
+    assert DivClass(fermat5, (True,) + (0,) * 75) == fermat5.hyperplane_class
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(2), "2"])
+def test_decomposition_refuses_non_integral_multiplicities(fermat5, bad):
+    H = fermat5.hyperplane_class
+    with pytest.raises(TypeError):
+        Decomposition(((H, bad),))
+    assert Decomposition(((H, True),)).parts == ((H, 1),)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, Fraction(2), "2"])
+def test_hvector_refuses_non_integral_entries(bad):
+    with pytest.raises(TypeError):
+        hvector_invariants([1, bad, 0])
+    with pytest.raises(TypeError):
+        HVector((1, bad))
+    assert hvector_invariants([True, 2, 1]) == (4, 1)
 
 
 def test_hvector_validation():

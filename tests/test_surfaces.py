@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import json
 import re
 import weakref
 
@@ -15,6 +16,8 @@ from acmcurves.divisors import DivClass, chi, degree, genus, pair
 from acmcurves.geometry import Incidence, line_on_fermat, lines_meet
 from acmcurves.surfaces import (
     BUILTIN_NAMES,
+    MAX_CUSTOM_ENTRY,
+    MAX_CUSTOM_GENERATORS,
     SurfaceError,
     SurfaceModel,
     build_fermat_model,
@@ -419,3 +422,56 @@ def test_custom_model_refuses_malformed_fields(field, value):
     with pytest.raises(SurfaceError, match=f"custom model field {field} must be"):
         load_model({**_SPAN, field: value})
 
+
+
+def _diagonal_document(n):
+    """A custom document of n generators with Gram diag(1, -1, ..., -1)."""
+    return {
+        "name": "diagonal", "kind": "custom", "chi0": 1,
+        "generators": [f"G{i}" for i in range(n)],
+        "gram": [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)],
+        "hyperplane": [1] + [0] * (n - 1), "canonical": [0] * n,
+    }
+
+
+def test_custom_model_generator_cap():
+    assert load_model(_diagonal_document(MAX_CUSTOM_GENERATORS)).ngens == 128
+    with pytest.raises(SurfaceError, match="field generators has 129 entries, more than 128"):
+        load_model(_diagonal_document(MAX_CUSTOM_GENERATORS + 1))
+
+
+_OVER_THE_CAP = r"has an integer with \|value\| >= 2\^16"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gram", [[5, 5], [5, -MAX_CUSTOM_ENTRY]]),
+    ("gram", [[MAX_CUSTOM_ENTRY, 5], [5, -5]]),
+    ("hyperplane", [1, MAX_CUSTOM_ENTRY]),
+    ("canonical", [-MAX_CUSTOM_ENTRY, 0]),
+    ("chi0", MAX_CUSTOM_ENTRY),
+    ("chi0", -2**200),
+])
+def test_custom_model_entry_cap(field, value):
+    with pytest.raises(SurfaceError, match=f"field {field} {_OVER_THE_CAP}"):
+        load_model({**_SPAN, field: value})
+    below = MAX_CUSTOM_ENTRY - 1
+    m = load_model({**_SPAN, "gram": [[5, below], [below, -below]], "chi0": -below})
+    assert (m.gram, m.chi0) == (((5, below), (below, -below)), -below)
+
+
+def test_custom_model_integer_over_the_digit_limit_is_a_surface_error():
+    text = json.dumps(_SPAN).replace('"chi0": 5', '"chi0": 1' + "0" * 5000)
+    with pytest.raises(SurfaceError, match=_OVER_THE_CAP) as info:
+        load_model(text)
+    assert "set_int_max_str_digits" not in str(info.value)
+
+
+def test_fermat5_loads_as_a_custom_document(fermat5):
+    doc = {
+        "name": "fermat5-copy", "kind": "custom", "chi0": fermat5.chi0,
+        "generators": list(fermat5.generators), "gram": [list(row) for row in fermat5.gram],
+        "hyperplane": list(fermat5.hyperplane), "canonical": list(fermat5.canonical),
+    }
+    m = load_model(json.dumps(doc))
+    assert (m.generators, m.gram) == (fermat5.generators, fermat5.gram)
+    assert model_validate(m).ok
