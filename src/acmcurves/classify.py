@@ -27,7 +27,7 @@ lattice data; only the tabulated pairs receive an unconditional ACM.
 """
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .divisors import (
@@ -48,20 +48,9 @@ class Status(Enum):
     INVALID = "INVALID"
 
 
-@dataclass(frozen=True)
-class TraceLine:
-    name: str
-    value: object = None
-    expected: object = None
-    ok: bool | None = None
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    rule: str | None
-    trace: tuple = ()
-    witness: Decomposition | None = None
+TraceLine = namedtuple("TraceLine", "name value expected ok", defaults=(None, None, None))
+# witness: the accepted Decomposition of a NOT_ACM verdict, else None
+Verdict = namedtuple("Verdict", "status rule trace witness", defaults=((), None))
 
 
 def render_verdict(v):
@@ -142,20 +131,6 @@ def nonacm_exists(d, k):
     return (k, d) in QUINTIC_CONDITIONAL
 
 
-def _quintic_obligations(k, deg):
-    """Unchecked cohomological obligations attached to OUT_OF_TABLE traces."""
-    notes = []
-    if k in (0, 1):
-        notes.append(TraceLine(f"unchecked: h0(O_C(D-C)) = 0 required when k = {k}"))
-    if k == 2 and deg == 7:
-        notes.append(TraceLine("unchecked: h0(O_X(2C-D)) = 1 required"))
-    if k == 2 and deg == 8:
-        notes.append(TraceLine("unchecked: h0(O_C(D-C)) = 0 and h0(O_C(D)) = 3 required"))
-    if k in (3, 4) and 8 - k <= deg <= 10 - k:
-        notes.append(TraceLine(f"unchecked: h0(O_C(D)) = {5 - k} required"))
-    return notes
-
-
 def classify_numeric(kind, deg, genus_value):
     """Verdict from (degree, genus) alone on a quartic or quintic."""
     if kind not in ("quartic", "quintic"):
@@ -196,6 +171,7 @@ def _classify_quintic(deg, g):
     if 0 <= k <= 4:
         if k in (0, 1):
             trace.append(TraceLine("deg = 10 - k", deg, 10 - k, deg == 10 - k))
+            trace.append(TraceLine(f"unchecked: h0(O_C(D-C)) = 0 required when k = {k}"))
         elif k == 2:
             trace.append(
                 TraceLine("deg in {1,4,7,8}", deg, "{1, 4, 7, 8}", deg in (1, 4, 7, 8))
@@ -204,7 +180,6 @@ def _classify_quintic(deg, g):
             window = k - 1 <= deg <= 10 - k and not (k == 3 and deg == 4)
             expected = f"in [{k - 1}, {10 - k}]" + (", deg != 4" if k == 3 else "")
             trace.append(TraceLine("degree window", deg, expected, window))
-        trace.extend(_quintic_obligations(k, deg))
     trace.append(
         TraceLine(
             "outside both tables: no initialized aCM line bundle has these "
@@ -238,21 +213,9 @@ def _classify_quartic(deg, g):
 # -- witness machinery -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClauseSpec:
-    clause_id: str
-    shape: str  # key of SHAPES
-    twist: str  # key of TWISTS
-
-
-@dataclass(frozen=True)
-class WitnessSpec:
-    prop_id: str
-    display: str
-    surface_degree: int
-    deg: int
-    genus: int
-    clauses: tuple
+# shape and twist are keys of SHAPES and TWISTS
+ClauseSpec = namedtuple("ClauseSpec", "clause_id shape twist")
+WitnessSpec = namedtuple("WitnessSpec", "prop_id display surface_degree deg genus clauses")
 
 
 WITNESS_SPECS = {
@@ -324,8 +287,8 @@ def _twist_class(tag, target):
     return m * target.model.hyperplane_class + s * target
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "counts text lead lines rest products",
+                       defaults=(None, (), None, ()))):
     """Numerical shape of a witness decomposition, read by _match.
 
     The lead role is picked first: "Dtilde" is the first part that is a
@@ -334,15 +297,11 @@ class Shape:
     in `lines`, each of which must be a line, or summed into the single
     role `rest`.  A product (a, b, expected) is a.b, or a^2 when a == b,
     or deg a when b is None.  The sum of all parts must lie in the
-    clause's twist.
+    clause's twist.  counts is the range of allowed part numbers, and text
+    the expected shape as the trace prints it.
     """
 
-    counts: range  # allowed numbers of parts
-    text: str  # the expected shape, as the trace prints it
-    lead: str | None = None
-    lines: tuple = ()
-    rest: str | None = None
-    products: tuple = ()
+    __slots__ = ()
 
 
 _MANY = sys.maxsize
@@ -473,7 +432,7 @@ def _judge(spec, trace, twists, witness):
     trace = list(trace)
     parts = witness.expanded()
     for p in parts:
-        if p.is_zero():
+        if not any(intersections(p.model, p.coeffs)):  # numerically zero
             trace.append(TraceLine("witness part", "0", "nonzero effective class", False))
             return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
         cert = certify_effective(p)

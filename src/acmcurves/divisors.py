@@ -12,7 +12,7 @@ non-integral value is an error that proves the class cannot occur as stated.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class NonIntegralError(ValueError):
@@ -30,20 +30,40 @@ def _same_model(a, b):
         )
 
 
-@dataclass(frozen=True)
-class DivClass:
+class _Frozen:
+    """An immutable __slots__ value, rebuilt by copy and pickle from the
+    constructor arguments __reduce__ returns, and equal and hashed by them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+
+class DivClass(_Frozen):
     """Integer combination of a model's generator classes."""
 
-    model: object
-    coeffs: tuple
+    __slots__ = ("model", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(map(operator.index, self.coeffs))
-        if len(coeffs) != self.model.ngens:
+    def __init__(self, model, coeffs):
+        coeffs = tuple(map(operator.index, coeffs))
+        if len(coeffs) != model.ngens:
             raise ValueError(
-                f"expected {self.model.ngens} coefficients, got {len(coeffs)}"
+                f"expected {model.ngens} coefficients, got {len(coeffs)}"
             )
+        object.__setattr__(self, "model", model)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __reduce__(self):
+        return DivClass, (self.model, self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, DivClass):
@@ -103,7 +123,8 @@ def intersections(model, coeffs):
 
 def _class(model, coeffs):
     """A DivClass from a tuple of ints of the model's length, as class
-    arithmetic and SurfaceModel.gen_class produce; skips __post_init__."""
+    arithmetic and SurfaceModel.gen_class produce; skips the checks of
+    DivClass.__init__."""
     d = object.__new__(DivClass)
     object.__setattr__(d, "model", model)
     object.__setattr__(d, "coeffs", coeffs)
@@ -168,14 +189,13 @@ def deg1_effectivity_test(d):
     return pair(d, d) == -3
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """A multiset of classes with positive multiplicities."""
 
-    parts: tuple  # ((DivClass, mult), ...)
+    __slots__ = ("parts",)  # ((DivClass, mult), ...)
 
-    def __post_init__(self):
-        parts = tuple((cls, operator.index(mult)) for cls, mult in self.parts)
+    def __init__(self, parts):
+        parts = tuple((cls, operator.index(mult)) for cls, mult in parts)
         if not parts:
             raise ValueError("a decomposition needs at least one part")
         model = parts[0][0].model
@@ -185,6 +205,9 @@ class Decomposition:
             if cls.model is not model:
                 raise ModelMismatchError("decomposition parts must share one model")
         object.__setattr__(self, "parts", parts)
+
+    def __reduce__(self):
+        return Decomposition, (self.parts,)
 
     @classmethod
     def of(cls, *items):
@@ -246,11 +269,9 @@ MAX_CONNECTEDNESS_SIZE = 20
 MAX_CONNECTEDNESS_SPLITS = 4096
 
 
-@dataclass(frozen=True)
-class ConnectednessResult:
-    connected: bool
-    minimum: int | None  # least D1.D2 over proper splits, None if no split exists
-    split: tuple | None  # (Decomposition, Decomposition) achieving the minimum
+# minimum: least D1.D2 over proper splits, None if no split exists;
+# split: (Decomposition, Decomposition) achieving it when below m, else None
+ConnectednessResult = namedtuple("ConnectednessResult", "connected minimum split")
 
 
 def is_m_connected(decomp, m):
@@ -306,19 +327,21 @@ def is_m_connected(decomp, m):
     return ConnectednessResult(False, best, (d1, d2))
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(_Frozen):
     """Second difference of a Hilbert function, finitely supported."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(map(operator.index, self.entries))
+    def __init__(self, entries):
+        entries = tuple(map(operator.index, entries))
         if any(v < 0 for v in entries):
             raise ValueError("h-vector entries must be nonnegative")
         if entries and entries[0] < 1:
             raise ValueError("h(0) must be >= 1 for a nonempty curve")
         object.__setattr__(self, "entries", entries)
+
+    def __reduce__(self):
+        return HVector, (self.entries,)
 
 
 def hvector_invariants(h):
@@ -330,11 +353,10 @@ def hvector_invariants(h):
     return deg, gen
 
 
-@dataclass(frozen=True)
-class EffectivityCertificate:
-    ok: bool
-    reason: str
-    parts: tuple | None = None  # ((DivClass, mult), ...) when certified by combination
+# parts: ((DivClass, mult), ...) when certified, else None
+EffectivityCertificate = namedtuple(
+    "EffectivityCertificate", "ok reason parts", defaults=(None,)
+)
 
 
 def certify_effective(d):

@@ -11,7 +11,7 @@ odd-power correction that reproduces all the printed invariants.
 Reports are deterministic and byte-identical across runs.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classify import _plain, check_witness, classify_numeric, search_witness
 from .cyclo import rational, zeta
@@ -28,30 +28,19 @@ from .geometry import Line, line_on_fermat, lines_meet
 from .surfaces import SurfaceModel, named_model
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    description: str
-    expected: object
-    computed: object
-    ok: bool
-    note: str = ""
+ClaimResult = namedtuple("ClaimResult", "description expected computed ok note", defaults=("",))
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    case_id: str
-    title: str
-    claims: tuple
-    notes: tuple = ()
+class CaseReport(namedtuple("CaseReport", "case_id title claims notes", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self):
         return all(c.ok for c in self.claims)
 
 
-@dataclass(frozen=True)
-class SummaryReport:
-    cases: tuple
+class SummaryReport(namedtuple("SummaryReport", "cases")):
+    __slots__ = ()
 
     @property
     def total_claims(self):

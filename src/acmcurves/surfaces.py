@@ -13,11 +13,11 @@ deterministic, and constructed models are immutable.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclo import rational, zeta
-from .divisors import DivClass, _class, pair
+from .divisors import DivClass, _class, _Frozen, pair
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
 FERMAT_DEGREES = (4, 5)
@@ -34,37 +34,40 @@ class SurfaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    name: str
-    kind: str  # fermat | quadric | cubic_delpezzo | generic | custom
-    degree: int | None  # hypersurface degree when meaningful
-    generators: tuple
-    gram: tuple
-    hyperplane: tuple
-    canonical: tuple
-    chi0: int
-    gen_genus: tuple  # arithmetic genus per generator when known, else None
-    lines: tuple | None = None  # atlas Lines aligned with generators[1:]
+class SurfaceModel(_Frozen):
+    """A lattice model.  kind is fermat, quadric, cubic_delpezzo, generic or
+    custom; degree is the hypersurface degree when meaningful, else None;
+    gen_genus holds the arithmetic genus of each generator when known, else
+    None; lines, when present, are the atlas Lines aligned with
+    generators[1:]."""
 
-    def __post_init__(self):
-        m = len(self.generators)
-        if len(self.gram) != m or any(len(row) != m for row in self.gram):
+    __slots__ = ("name", "kind", "degree", "generators", "gram", "hyperplane",
+                 "canonical", "chi0", "gen_genus", "lines", "_positions", "__weakref__")
+
+    def __init__(self, name, kind, degree, generators, gram, hyperplane, canonical,
+                 chi0, gen_genus, lines=None):
+        m = len(generators)
+        if len(gram) != m or any(len(row) != m for row in gram):
             raise SurfaceError("Gram matrix shape does not match the generators")
-        if len(self.hyperplane) != m or len(self.canonical) != m:
+        if len(hyperplane) != m or len(canonical) != m:
             raise SurfaceError("class vectors must match the generator count")
         # name -> position; the first position wins, as with tuple.index
         positions = {}
-        for i, name in enumerate(self.generators):
-            positions.setdefault(name, i)
-        object.__setattr__(self, "_positions", positions)
-        # checked once here, so that hyperplane_class and canonical_class
-        # (read by every degree, genus and chi) skip DivClass validation.
-        # The model stores no DivClass: a class refers to its model, and that
-        # cycle would keep each discarded model alive until the cyclic
-        # collector runs, raising peak memory over repeated fresh builds.
-        for field in ("hyperplane", "canonical"):
-            object.__setattr__(self, field, tuple(int(v) for v in getattr(self, field)))
+        for i, gen in enumerate(generators):
+            positions.setdefault(gen, i)
+        # hyperplane and canonical are checked once here, so that
+        # hyperplane_class and canonical_class (read by every degree, genus
+        # and chi) skip DivClass validation.  The model stores no DivClass: a
+        # class refers to its model, and that cycle would keep each discarded
+        # model alive until the cyclic collector runs, raising peak memory
+        # over repeated fresh builds.
+        values = (name, kind, degree, generators, gram, tuple(int(v) for v in hyperplane),
+                  tuple(int(v) for v in canonical), chi0, gen_genus, lines, positions)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __reduce__(self):  # the fields: every slot but _positions and __weakref__
+        return SurfaceModel, tuple(getattr(self, slot) for slot in self.__slots__[:-2])
 
     @property
     def ngens(self):
@@ -322,16 +325,11 @@ def _entries(value, field, kind):
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str
+Check = namedtuple("Check", "name ok detail")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
+class ValidationReport(namedtuple("ValidationReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

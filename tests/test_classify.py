@@ -92,11 +92,14 @@ def test_tables_partition_the_theorem_region():
 
 
 def test_witness_headers_recompute_k():
-    for spec in WITNESS_SPECS.values():
-        if spec.surface_degree == 5:
-            k = spec.deg + 1 - spec.genus
-            assert (k, spec.deg) in QUINTIC_CONDITIONAL
-            assert QUINTIC_CONDITIONAL[(k, spec.deg)] == spec.prop_id
+    # each quintic rule settles its own pair of Thm 1.1's windows (those of
+    # test_tables_partition_the_theorem_region) that Thm 1.2 leaves open
+    windows = {0: {10}, 1: {9}, 2: {1, 4, 7, 8}, 3: {2, 3, 5, 6, 7}, 4: {3, 4, 5, 6}}
+    pairs = [(s.deg + 1 - s.genus, s.deg) for s in WITNESS_SPECS.values() if s.surface_degree == 5]
+    for k, deg in pairs:
+        assert deg in windows.get(k, ()) and (k, deg) not in QUINTIC_ACM
+    open_pairs = {(k, d) for k, ds in windows.items() for d in ds} - set(QUINTIC_ACM)
+    assert sorted(pairs) == sorted(open_pairs)
     assert set(WITNESS_SPECS) == set(QUINTIC_CONDITIONAL.values()) | {"P2.2"}
 
 

@@ -2,6 +2,9 @@
 
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,3 +353,13 @@ def test_model_flag_resolution_failure(capsys):
 def test_package_errors_are_value_errors(error):
     # main reports every ValueError as "error: ..." with exit status 2
     assert issubclass(error, ValueError)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S keeps site hooks out: a .pth file may import typing on its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import acmcurves.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

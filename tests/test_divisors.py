@@ -376,6 +376,17 @@ def test_effectivity_certificates(fermat5):
     assert total == 2 * H - l1 + fermat5.gen_class("L[02|13](0,1)")
 
 
+def test_effectivity_certificate_of_zero_and_of_a_degree_one_class(fermat5):
+    zero = certify_effective(fermat5.zero_class())
+    assert (zero.ok, zero.reason, zero.parts) == (True, "zero class", ())
+    # a line plus the numerically zero H - (the five lines of one plane)
+    d = fermat5.parse("L[02|13](0,1) + H - L[01|23](0,0) - L[01|23](0,1) "
+                      "- L[01|23](0,2) - L[01|23](0,3) - L[01|23](0,4)")
+    cert = certify_effective(d)
+    assert (cert.ok, cert.reason) == (True, "degree-1 class with self-intersection -3")
+    assert cert.parts == ((d, 1),)
+
+
 def test_effectivity_certificate_builds_only_nonzero_generators(fermat5, monkeypatch):
     H = fermat5.hyperplane_class
     a, b, c = (fermat5.gen_class(name) for name in fermat5.line_names()[:3])

@@ -49,6 +49,16 @@ def test_plane_relations_are_numerically_zero(request, fixture, count):
         assert all(pair(z, model.gen_class(g)) == 0 for g in model.generators)
 
 
+def test_a_numerically_zero_witness_part_is_judged_zero(fermat5):
+    target = fermat5.parse(README_P47)
+    line = fermat5.parse(README_P47_WITNESS[0])
+    zero = check_witness("P4.7", target, Decomposition.of(fermat5.zero_class(), line))
+    last = zero.trace[-1]
+    assert (zero.status, last.name, last.value) == (Status.CONDITIONAL, "witness part", "0")
+    z = plane_relations(fermat5)[0]
+    assert check_witness("P4.7", target, Decomposition.of(z, line)) == zero
+
+
 def test_the_rewritten_readme_target_takes_its_witness(fermat5):
     target = fermat5.parse(README_P47)
     z = plane_relations(fermat5)[0]

@@ -1,7 +1,5 @@
 """Reproduction suite: every case green, anomaly reported, fault injection."""
 
-import dataclasses
-
 import pytest
 
 from acmcurves.repro import (
@@ -14,7 +12,7 @@ from acmcurves.repro import (
     summary_json,
     verify_all,
 )
-from acmcurves.surfaces import build_fermat_model
+from acmcurves.surfaces import SurfaceModel, build_fermat_model
 
 
 def test_all_cases_green():
@@ -90,7 +88,10 @@ def test_corrupted_gram_fails_the_genus_claim():
     i = model.index("L[01|23](0,0)")
     gram[i][i] = -1  # break the line self-intersection
     gram[0][0] = 5
-    corrupted = dataclasses.replace(model, gram=tuple(tuple(r) for r in gram))
+    corrupted = SurfaceModel(
+        model.name, model.kind, model.degree, model.generators, tuple(tuple(r) for r in gram),
+        model.hyperplane, model.canonical, model.chi0, model.gen_genus, model.lines,
+    )
     report = run_example("ex4.4", models={"fermat5": corrupted})
     assert not report.ok
     failing = [c for c in report.claims if not c.ok]
