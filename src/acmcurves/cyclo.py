@@ -44,24 +44,17 @@ a numerator that is a multiple of P, a zero residue proves nothing and the
 element must be tested exactly; above the order cap the bound is not
 applied, so such values keep failing with OrderError on the exact path.
 
-Inverse by the norm.  For an element nums/den, the integer element x = nums
-times the product cof of its other Galois conjugates is the norm N(x), so
-the inverse is den * cof / N(x), and no Fraction is made.  The conjugation
-sigma_j (j a unit mod n) sends z^i to z^(i*j), a row of the power table.
-The conjugates are gathered along a chain 1 = H_0 < H_1 < ... < H_k =
-(Z/n)^* of subgroups of prime index p_i, with H_i generated over H_(i-1) by
-g_i (CycOrder.norm_steps, which depends on n only).  If x is fixed by
-H_(i-1), then sigma_(g_i^p_i) fixes x, so the relative norm
-x * sigma_(g_i)(x) * ... * sigma_(g_i^(p_i - 1))(x) is fixed by H_i.  After
-the last step the value is fixed by the whole Galois group, so it is
-rational, and as a product of algebraic integers it is an integer: N(x).
-At n = 40 the chain is four steps of index 2.
+Inverse by the norm.  For an element nums/den, the product cof of the
+other Galois conjugates sigma_j(nums), j a unit mod n other than 1, times
+nums is the norm N(nums), a rational integer, so the inverse is
+den * cof / N(nums).  The conjugation sigma_j sends z^i to z^(i*j), a row
+of the power table.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, log10
 import cmath
+import numbers
 
 MAX_ORDER = 40
 
@@ -122,9 +115,7 @@ def cyclotomic_polynomial(n):
 class CycOrder:
     """Precomputed reduction data for one cyclotomic order."""
 
-    __slots__ = (
-        "n", "phi", "red_rows", "power_rows", "residue_powers", "norm_steps",
-    )
+    __slots__ = ("n", "phi", "red_rows", "power_rows", "residue_powers")
 
     def __init__(self, n):
         _check_order(n)
@@ -154,25 +145,6 @@ class CycOrder:
         # images of z^u, u < phi, under z -> W^(L/n) in F_P
         step = pow(RESIDUE_ROOT, lcm(*range(1, MAX_ORDER + 1)) // n, RESIDUE_PRIME)
         self.residue_powers = tuple(pow(step, u, RESIDUE_PRIME) for u in range(phi))
-        self.norm_steps = _norm_steps(n)
-
-
-def _norm_steps(n):
-    """Steps (g, p) through (Z/n)^*: each g has prime order p modulo the
-    subgroup generated by the g before it, and all of them generate (Z/n)^*,
-    so the primes multiply to phi(n)."""
-    group = {1 % n}
-    steps = []
-    for u in range(1, n):
-        while gcd(u, n) == 1 and u not in group:
-            m, v = 1, u
-            while v not in group:
-                v, m = v * u % n, m + 1
-            p = next(q for q in range(2, m + 1) if m % q == 0)
-            g = pow(u, m // p, n)
-            steps.append((g, p))
-            group = {h * pow(g, k, n) % n for h in group for k in range(p)}
-    return tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -304,9 +276,16 @@ def _coerce(value):
         return value
     if isinstance(value, int):
         return _wrap(1, (value,), 1)
-    if isinstance(value, Fraction):
-        return _wrap(1, (value.numerator,), value.denominator)
+    if isinstance(value, numbers.Rational):  # a Fraction, say
+        return rational(value.numerator, value.denominator)
     return None
+
+
+def _ratio(p, q):
+    """p/q for q > 0 in lowest terms, written as str(Fraction(p, q)) writes it."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class CycNum:
@@ -353,6 +332,8 @@ class CycNum:
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
+        from fractions import Fraction
+
         return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
@@ -417,27 +398,17 @@ class CycNum:
         return self
 
     def inverse(self):
-        """Multiplicative inverse by the norm: den * cof / N(nums)."""
+        """Multiplicative inverse by the norm: den * cof / N(nums), with cof
+        the product of the other Galois conjugates of nums."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero cyclotomic number")
-        if self.is_rational():
-            nums, den = _normalize(
-                [self.den] + [0] * (len(self.nums) - 1), self.nums[0]
-            )
-            return _wrap(self.order, nums, den)
-        # x = nums * cof runs through the relative norms of the step chain;
-        # after the last step x is the rational integer N(nums)
         order = get_order(self.order)
-        x = self.nums
-        cof = order.power_rows[0]
-        for g, p in order.norm_steps:
-            conj = [_substitute(x, pow(g, k, order.n), order) for k in range(1, p)]
-            prod = conj[0]
-            for c in conj[1:]:
-                prod = _product(prod, c, order.red_rows)
-            cof = _product(cof, prod, order.red_rows)
-            x = _product(x, prod, order.red_rows)
-        nums, den = _normalize([self.den * c for c in cof], x[0])
+        n, cof = order.n, order.power_rows[0]
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                cof = _product(cof, _substitute(self.nums, j, order), order.red_rows)
+        norm = _product(self.nums, cof, order.red_rows)[0]
+        nums, den = _normalize([self.den * c for c in cof], norm)
         return _wrap(self.order, nums, den)
 
     def __truediv__(self, other):
@@ -490,7 +461,7 @@ class CycNum:
         # lifting, so equal values of different orders hash alike; a
         # rational hashes as the Fraction it equals
         if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
+            return hash(self.nums[0]) if self.den == 1 else hash(self.as_fraction())
         return hash((_residue(self.nums, get_order(self.order)), self.den))
 
     def __bool__(self):
@@ -500,23 +471,22 @@ class CycNum:
 
     def __str__(self):
         if self.is_rational():
-            return str(Fraction(self.nums[0], self.den))
+            return _ratio(self.nums[0], self.den)
         terms = []
         for i, c in enumerate(self.nums):
             if not c:
                 continue
-            q = Fraction(c, self.den)
-            mag = abs(q)
+            mag = _ratio(abs(c), self.den)
             if i == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "z" if i == 1 else f"z^{i}"
             else:
                 body = f"{mag}*z" if i == 1 else f"{mag}*z^{i}"
             if not terms:
-                terms.append(body if q > 0 else f"-{body}")
+                terms.append(body if c > 0 else f"-{body}")
             else:
-                terms.append(f"+ {body}" if q > 0 else f"- {body}")
+                terms.append(f"+ {body}" if c > 0 else f"- {body}")
         return f"{' '.join(terms)} (z = zeta({self.order}))"
 
     def __repr__(self):

@@ -13,16 +13,15 @@ with one reduction: the products are convolved on raw numerators, over one
 common denominator, into a single buffer, which is then folded modulo the
 cyclotomic polynomial once, with the coefficient functions of CycNum.
 
-The canonical representative, read only when printed, hashed or used for
-membership, is the reduced row echelon form of the 2x4 coefficient matrix
-over the cyclotomic field, read off the minors by Cramer's rule.  The RREF
-pivot columns (c0, c1) are the first pair in PLUCKER_INDICES order with
-p_(c0 c1) != 0 (all six zero means rank 1).  With p' = p / p_(c0 c1), the
-canonical rows are r0[j] = p'_(j c1) and r1[j] = p'_(c0 j), and p' are the
-Plücker coordinates of those rows, since the row operation to RREF has
+The canonical representative, computed only to print or hash a line, is
+the reduced row echelon form of the 2x4 coefficient matrix over the
+cyclotomic field, read off the minors by Cramer's rule on each read.  The
+RREF pivot columns (c0, c1) are the first pair in PLUCKER_INDICES order
+with p_(c0 c1) != 0 (all six zero means rank 1).  With p' = p / p_(c0 c1),
+the canonical rows are r0[j] = p'_(j c1) and r1[j] = p'_(c0 j), and p' are
+the Plücker coordinates of those rows, since the row operation to RREF has
 determinant 1/p_(c0 c1).  So a line costs six _dot, and its canonical form
-at most one inverse more, none when p_(c0 c1) is already 1, as for every
-atlas line.
+one inverse more.
 
 Two lines share a point exactly when the Klein-quadric pairing
 
@@ -59,16 +58,21 @@ that bound fails, as for large or P-divisible numerators and many order-40
 literal lines, or where m exceeds the order cap, does a zero image fall
 through to exact arithmetic.
 
-Membership in the Fermat surface of degree d is decided from the pivot
-rows: with a_r, b_r the entries of pivot row r in the two free columns,
-the coefficient of s^j t^(d-j) of the restricted form is C(d,j) times
-c_j = [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j).  With the four
-entries scaled to integers by the lcm S of their denominators, S^d * c_j
-lies in Z[zeta_n]; its residue is a sum of modular powers, and its
-embeddings are bounded by 2*S^d + sum_r h(S*a_r)^j * h(S*b_r)^(d-j).  A
-nonzero residue proves c_j != 0, and a zero one under the bound proves
-c_j = 0; any other c_j is one _dot over powers taken at the line's own
-order.
+Membership in the Fermat surface of degree d is decided on the minors too.
+With a_r, b_r the entries of canonical row r in the free columns f < g, the
+coefficient of s^j t^(d-j) of the restricted form is C(d,j) times
+c_j = [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j).  With k the pivot
+index, p_k * (a_0, b_0, a_1, b_1) are the minors A_0, B_0, A_1, B_1 =
+p_(f c1), p_(g c1), p_(c0 f), p_(c0 g), so
+
+    p_k^d * c_j = ([j=d] + [j=0]) * p_k^d + (-1)^d * sum_r A_r^j * B_r^(d-j),
+
+homogeneous of degree d.  Scaled by the line's common factor S, it lies in
+Z[zeta_n]; its residue is a sum of modular powers of the stored residues,
+and its embeddings are bounded by the same form in the stored norms h, with
+([j=d] + [j=0]) * h_k^d + sum_r h(A_r)^j * h(B_r)^(d-j).  A nonzero residue
+proves c_j != 0, and a zero one under the bound proves c_j = 0; any other
+c_j is one _dot over powers of the signed minors, at the line's own order.
 """
 
 from enum import Enum
@@ -114,17 +118,9 @@ def _form(coeffs):
 PLUCKER_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _scaled(coords, order):
-    """(residues, norms): the images in F_P of the coordinates and the l1
-    norms of their numerators, all scaled to integers by the lcm of their
-    denominators."""
-    scale = lcm(*(p.den for p in coords))
-    residues, norms = [], []
-    for p in coords:
-        k = scale // p.den
-        residues.append(_residue(p.nums, order) * k % RESIDUE_PRIME)
-        norms.append(sum(map(abs, p.nums)) * k)
-    return tuple(residues), tuple(norms)
+def _signed(i, j):
+    """(k, sign) with p_ij = sign * p_k, the k-th minor in storage order."""
+    return (PLUCKER_INDICES.index((i, j)), 1) if i < j else (PLUCKER_INDICES.index((j, i)), -1)
 
 
 class Line:
@@ -132,11 +128,11 @@ class Line:
 
     It is kept as its Plücker minors, in the order of PLUCKER_INDICES, with
     their residues mod RESIDUE_PRIME and the l1 norms of their numerators,
-    both scaled to integers by one common factor, and the RREF pivot
-    columns.  The canonical rank-2 RREF 2x4 matrix `rows` is computed on
-    first read."""
+    both scaled to integers by the lcm of their denominators, and the RREF
+    pivot columns.  The canonical rank-2 RREF 2x4 matrix `rows` is derived
+    from the minors on each read, to print or hash the line."""
 
-    __slots__ = ("minors", "residues", "norms", "pivots", "rows")
+    __slots__ = ("minors", "residues", "norms", "pivots")
 
     def __init__(self, f1, f2):
         n, coeffs = _common_order(_form(f1) + _form(f2))
@@ -154,50 +150,44 @@ class Line:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
         self.pivots = PLUCKER_INDICES[k]
         self.minors = minors
-        self.residues, self.norms = _scaled(minors, order)
+        scale = lcm(*(p.den for p in minors))
+        self.residues = tuple(
+            _residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in minors
+        )
+        self.norms = tuple(sum(map(abs, p.nums)) * (scale // p.den) for p in minors)
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the canonical rows on first read
-        if name != "rows":
-            raise AttributeError(name)
-        self._canonicalize()
-        return self.rows
-
-    def _canonicalize(self):
-        minors = self.minors
-        n = minors[0].order
+    @property
+    def rows(self):
+        """The canonical rows, p' = p / p_(c0 c1) read off by Cramer's rule."""
+        n = self.minors[0].order
         order = get_order(n)
         c0, c1 = self.pivots
-        pivot = minors[PLUCKER_INDICES.index(self.pivots)]
-        # a pivot that is already 1 (every atlas line) needs no scaling;
-        # read off the coefficients, since == 1 would lift the 1
-        if pivot.den != 1 or pivot.nums != order.power_rows[0]:
-            inv = pivot.inverse()
-            minors = tuple(
-                _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
-                for p in minors
-            )
-        coord = dict(zip(PLUCKER_INDICES, minors))
+        inv = self.minors[PLUCKER_INDICES.index(self.pivots)].inverse()
+        coord = dict(zip(PLUCKER_INDICES, (
+            _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
+            for p in self.minors
+        )))
         zero = _wrap(n, (0,) * order.phi, 1)
 
         def entry(i, j):  # p'_ij, with p'_ii = 0 and p'_ji = -p'_ij
             return zero if i == j else coord[i, j] if i < j else -coord[j, i]
 
         # Cramer's rule: r0[j] = p'_(j c1), r1[j] = p'_(c0 j)
-        self.rows = (
+        return (
             tuple(entry(j, c1) for j in range(4)),
             tuple(entry(c0, j) for j in range(4)),
         )
 
     def points(self):
         """Two independent points spanning the line (null space basis)."""
+        rows = self.rows
         free = [c for c in range(4) if c not in self.pivots]
         basis = []
         for f in free:
             v = [rational(0)] * 4
             v[f] = rational(1)
             for r, p in enumerate(self.pivots):
-                v[p] = -self.rows[r][f]
+                v[p] = -rows[r][f]
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -237,7 +227,8 @@ class Line:
                     parts.append(expr)
             return " + ".join(parts)
 
-        return f"{form(self.rows[0])} ; {form(self.rows[1])}"
+        r0, r1 = self.rows
+        return f"{form(r0)} ; {form(r1)}"
 
     def __repr__(self):
         return f"Line({self})"
@@ -322,9 +313,12 @@ def line_on_fermat(line, d):
     The line is parametrized by its two free columns f, g: x_f = s, x_g = t
     and, with a_r, b_r the entries of pivot row r in columns f, g,
     x_(pivot r) = -(a_r*s + b_r*t).  The restricted form vanishes exactly
-    when, for every j, [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j)
+    when, for every j, c_j = [j=d] + [j=0] + (-1)^d * sum_r a_r^j * b_r^(d-j)
     does; the coefficient of s^j t^(d-j) is that times the nonzero C(d,j).
-    Each is decided by its residue and norm bound where they suffice, and
+    With p_k the pivot minor, p_k * (a_0, b_0, a_1, b_1) are the minors
+    A_0, B_0, A_1, B_1 = p_(f c1), p_(g c1), p_(c0 f), p_(c0 g), so p_k^d * c_j
+    is a form of degree d in the minors.  Each is decided by its residue and
+    norm bound, read off the line's scaled minors, where they suffice, and
     exactly otherwise.
     """
     if not isinstance(d, int) or d < 2:
@@ -333,33 +327,32 @@ def line_on_fermat(line, d):
         raise GeometryError(
             f"degree {d} exceeds the expansion bound {MAX_FERMAT_EXPANSION_DEGREE}"
         )
-    order = get_order(line.rows[0][0].order)
+    order = get_order(line.minors[0].order)
+    c0, c1 = line.pivots
     f, g = (c for c in range(4) if c not in line.pivots)
-    # a_0, b_0, a_1, b_1; residues and norms are of the entries scaled to
-    # integers by the lcm S of their denominators
-    entries = [x for row in line.rows for x in (row[f], row[g])]
-    top = lcm(*(x.den for x in entries)) ** d
-    residues, norms = _scaled(entries, order)
-    rp = [[pow(r, e, RESIDUE_PRIME) for e in range(d + 1)] for r in residues]
-    hp = [[h**e for e in range(d + 1)] for h in norms]
+    # A_0, B_0, A_1, B_1 and then p_k, each as (index, sign)
+    signed = [_signed(f, c1), _signed(g, c1), _signed(c0, f), _signed(c0, g), _signed(c0, c1)]
+    rp = [[pow(s * line.residues[k], e, RESIDUE_PRIME) for e in range(d + 1)] for k, s in signed]
+    hp = [[line.norms[k] ** e for e in range(d + 1)] for k, _ in signed]
     sign = -1 if d % 2 else 1
     rest = []
     for j in range(d + 1):
-        # S^d * c_j: a nonzero residue proves the line off the surface
-        residue = ((j == d) + (j == 0)) * top + sign * (
-            rp[0][j] * rp[1][d - j] + rp[2][j] * rp[3][d - j]
-        )
+        # the scaled p_k^d * c_j: a nonzero residue proves the line off the surface
+        lead = (j == d) + (j == 0)
+        residue = lead * rp[4][d] + sign * (rp[0][j] * rp[1][d - j] + rp[2][j] * rp[3][d - j])
         if residue % RESIDUE_PRIME:
             return False
-        bound = 2 * top + hp[0][j] * hp[1][d - j] + hp[2][j] * hp[3][d - j]
+        bound = lead * hp[4][d] + hp[0][j] * hp[1][d - j] + hp[2][j] * hp[3][d - j]
         if not _proves_zero(bound, order.n):
             rest.append(j)
     if not rest:
         return True
-    powers = [_powers(x, d, order) for x in entries]
+    powers = [_powers(s * line.minors[k], d, order) for k, s in signed]
     for j in rest:
-        nums, den = _dot(((sign, powers[r][j], powers[r + 1][d - j]) for r in (0, 2)), order)
-        nums[0] += ((j == d) + (j == 0)) * den
-        if any(nums):
+        terms = [(sign, powers[r][j], powers[r + 1][d - j]) for r in (0, 2)]
+        lead = (j == d) + (j == 0)
+        if lead:
+            terms.append((lead, powers[4][j], powers[4][d - j]))
+        if any(_dot(terms, order)[0]):
             return False
     return True

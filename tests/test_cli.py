@@ -74,6 +74,29 @@ def test_table_thm12_has_eight_rows(capsys):
     assert len(out.strip().splitlines()) == 8
 
 
+def test_table_prop21_golden(capsys):
+    code, out, _ = run(capsys, "table", "prop2.1")
+    assert code == 0
+    assert out.splitlines() == [
+        "genus=0 d=1 rule=Prop2.1(a)",
+        "genus=0 d=2 rule=Prop2.1(a)",
+        "genus=0 d=3 rule=Prop2.1(a)",
+        "genus=1 d=3 rule=Prop2.1(b)",
+        "genus=1 d=4 rule=Prop2.1(b)",
+        "genus=2 d=5 rule=Prop2.1(c)",
+        "genus=3 d=6 witness-rule=P2.2",
+    ]
+
+
+def test_classify_quintic_out_of_table_trace(capsys):
+    # k = 2 on a quintic: the degree must be 1, 4, 7 or 8
+    code, out, _ = run(capsys, "classify", "--kind", "quintic", "--deg", "3", "--genus", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "OUT_OF_TABLE rule=Thm1.1"
+    assert "  check deg in {1,4,7,8}: 3 (expected {1, 4, 7, 8})" in lines
+
+
 def test_intersect_golden(capsys):
     code, out, _ = run(
         capsys, "intersect", "x0+x1 ; x2+x3", "x0+x2 ; x1+zeta(5)*x3"
@@ -195,6 +218,17 @@ def test_witness_search_none(capsys):
     assert "no witness found" in out
 
 
+def test_witness_search_none_json(capsys):
+    code, out, _ = run(
+        capsys,
+        "witness", "search", "--prop", "P4.7",
+        "--target", "2*H-L[01|23](0,0)-L[02|13](0,1)-L[02|13](0,3)",
+        "--bound", "0", "--json",
+    )
+    assert code == 0
+    assert out == '{"found": false}\n'
+
+
 def test_witness_search_outside_the_header_is_invalid(capsys):
     # H has degree 5 and genus 6, not P4.7's (7, 5): the rule does not apply
     argv = ("witness", "search", "--prop", "P4.7", "--target", "H")
@@ -268,6 +302,14 @@ def test_repro_json(capsys):
     assert doc["ok"] is True and doc["failed_claims"] == 0
 
 
+def test_repro_run_json(capsys):
+    code, out, _ = run(capsys, "repro", "run", "ex3.1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["id"] == "ex3.1" and doc["ok"] is True
+    assert len(doc["claims"]) == 5
+
+
 def test_model_build_and_show(capsys):
     code, out, _ = run(capsys, "model", "build", "fermat", "--degree", "5")
     assert code == 0
@@ -275,6 +317,12 @@ def test_model_build_and_show(capsys):
     code, out, _ = run(capsys, "model", "show", "quadric")
     assert code == 0
     assert "L1: 0 1" in out and "L2: 1 0" in out
+
+
+def test_model_build_quadric(capsys):
+    code, out, _ = run(capsys, "model", "build", "quadric")
+    assert code == 0
+    assert out.splitlines() == ["built quadric: 2 generators", "validation: OK"]
 
 
 def test_model_show_custom_json(tmp_path, capsys):
@@ -331,6 +379,13 @@ def test_lines_list(capsys):
     assert rows[0].startswith("L[01|23](0,0):")
 
 
+def test_lines_list_without_an_atlas(capsys):
+    code, out, err = run(capsys, "lines", "list", "--model", "quadric")
+    assert code == 2
+    assert out == ""
+    assert "has no line atlas" in err
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "bogus")
     assert code == 2
@@ -359,7 +414,8 @@ def test_cli_import_loads_no_introspection_modules():
     # -S keeps site hooks out: a .pth file may import typing on its own
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import acmcurves.cli; "
-            "print(*(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+            "print(*(m for m in ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-E", "-S", "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []

@@ -287,11 +287,32 @@ def test_rational_extraction_and_powers():
         zeta(5).as_fraction()
 
 
+def test_lift_to_a_non_multiple_and_a_zero_denominator_raise():
+    with pytest.raises(OrderError):
+        zeta(5).lift(8)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+
+
 def test_rendering():
     assert str(rational(-3, 4)) == "-3/4"
     text = str(zeta(8) - rational(1, 2))
     assert "z" in text and "zeta(8)" in text
     assert str(CycNum(7)) == "7"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_rationals_print_hash_and_coerce_as_fractions(p, q):
+    x, frac = rational(p, q), Fraction(p, q)
+    assert str(x) == str(frac)
+    assert hash(x) == hash(frac)
+    assert CycNum(frac) == x and x.as_fraction() == frac
+    # a coefficient of an irrational value prints as its Fraction too
+    if p:
+        body = "z" if abs(frac) == 1 else f"{abs(frac)}*z"
+        sign = "+" if p > 0 else "-"
+        assert str(x * zeta(8) + 2) == f"2 {sign} {body} (z = zeta(8))"
 
 
 def test_complex_embedding_is_consistent():
@@ -384,19 +405,16 @@ def test_inverse_at_every_order(n, data):
             assert x * inv == 1
 
 
-@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
-def test_norm_steps_climb_to_the_whole_unit_group(n):
-    units = {k % n for k in range(1, n + 1) if gcd(k, n) == 1}
-    group = {1 % n}
-    primes = 1
-    for g, p in get_order(n).norm_steps:
-        assert all(p % q for q in range(2, p))  # p is prime
-        assert g in units and g not in group and pow(g, p, n) in group
-        bigger = {h * pow(g, k, n) % n for h in group for k in range(p)}
-        assert len(bigger) == p * len(group)
-        group, primes = bigger, primes * p
-    assert group == units
-    assert primes == totient(n)
+def test_reflected_division_runs_the_inverse():
+    assert (1 / zeta(5)) * zeta(5) == 1
+    assert 1 / zeta(5) == zeta(5, 4)
+
+
+def test_a_rational_at_a_higher_order_inverts_to_its_reciprocal():
+    x = rational(-3, 7).lift(5)
+    inv = x.inverse()
+    assert inv.order == 5
+    assert (inv.nums, inv.den) == ((-7, 0, 0, 0), 3)
 
 
 def _wide_element_text():

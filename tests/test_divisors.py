@@ -254,6 +254,21 @@ def test_decomposition_refuses_non_integral_multiplicities(fermat5, bad):
     assert Decomposition(((H, True),)).parts == ((H, 1),)
 
 
+def test_divclass_refuses_the_wrong_number_of_coefficients(fermat5):
+    with pytest.raises(ValueError, match="expected 76 coefficients, got 75"):
+        DivClass(fermat5, (0,) * 75)
+
+
+def test_decomposition_refuses_no_parts_a_zero_multiplicity_and_two_models(fermat5, quadric):
+    H = fermat5.hyperplane_class
+    with pytest.raises(ValueError, match="at least one part"):
+        Decomposition(())
+    with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+        Decomposition(((H, 0),))
+    with pytest.raises(ModelMismatchError):
+        Decomposition.of(H, quadric.hyperplane_class)
+
+
 @pytest.mark.parametrize("bad", [2.7, 2.0, Fraction(2), "2"])
 def test_hvector_refuses_non_integral_entries(bad):
     with pytest.raises(TypeError):

@@ -1,11 +1,11 @@
 """Lines as projective Plücker points, against the row reduction oracle.
 
-A Line keeps the minors of its input forms and decides equality and
-incidence on them; its canonical RREF form is computed only when read.
-Equality must agree with comparing the oracle's canonical rows, incidence
-with the determinant of the stacked input forms, and neither may read the
-canonical form or invert anything.  The residues of a line's minors may all
-vanish (a minor divisible by the residue prime), and then only exact
+A Line keeps only the minors of its input forms and decides equality and
+incidence on them; its canonical RREF form is derived on each read, to print
+or hash it.  Equality must agree with comparing the oracle's canonical rows,
+incidence with the determinant of the stacked input forms, and neither may
+read the canonical form or invert anything.  The residues of a line's minors
+may all vanish (a minor divisible by the residue prime), and then only exact
 arithmetic may decide.
 """
 
@@ -24,7 +24,6 @@ from rref_oracle import canonical_rows
 from strategies import ORDERS, coefficients, forms
 
 LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
-_CANONICAL = ("rows",)
 
 
 def _oracle_rows(f1, f2):
@@ -36,18 +35,6 @@ def _oracle_rows(f1, f2):
 def _oracle_equal(a, b):
     (ra, pa), (rb, pb) = a, b
     return pa == pb and all(x == y for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b))
-
-
-def _canonical_read(line):
-    """The canonical fields already stored on the line, without computing any."""
-    read = []
-    for name in _CANONICAL:
-        try:
-            Line.__dict__[name].__get__(line, Line)
-        except AttributeError:
-            continue
-        read.append(name)
-    return read
 
 
 @st.composite
@@ -102,31 +89,20 @@ def _expected_incidence(text_a, text_b):
     return Incidence.MEET
 
 
-def test_literal_pairs_meet_without_inverting_or_canonicalizing(monkeypatch):
+def test_literal_pairs_meet_without_inverting_or_canonicalizing(canonical_work):
     pairs = _literal_pairs()
     assert len(pairs) == 144
     lines = [(parse_line(a), parse_line(b)) for a, b in pairs]
-    inverted = []
-    inverse = CycNum.inverse
-
-    def counting_inverse(self):
-        inverted.append(self)
-        return inverse(self)
-
-    monkeypatch.setattr(CycNum, "inverse", counting_inverse)
     answers = [lines_meet(a, b) for a, b in lines]
-    assert inverted == []
-    assert all(_canonical_read(x) == [] for pair in lines for x in pair)
-    monkeypatch.undo()
+    assert canonical_work == {"rows": [], "inverse": []}
     assert answers == [_expected_incidence(a, b) for a, b in pairs]
-    # the canonical fields read afterwards are those of the row reduction
+    # the canonical rows, derived when read, are those of the row reduction
     for (text_a, text_b), pair in zip(pairs, lines):
         for text, line in zip((text_a, text_b), pair):
             f1, f2 = (parse_linear_form(p) for p in text.split(";"))
             rows, pivots = canonical_rows(f1, f2)
             assert [[(c.order, c.nums, c.den) for c in row] for row in line.rows] == rows
             assert list(line.pivots) == pivots
-            assert _canonical_read(line) == list(_CANONICAL)
 
 
 _P = RESIDUE_PRIME

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from acmcurves import surfaces
 from acmcurves.divisors import DivClass, chi, degree, genus, pair
-from acmcurves.geometry import Incidence, line_on_fermat, lines_meet
+from acmcurves.geometry import Incidence, Line, line_on_fermat, lines_meet
 from acmcurves.surfaces import (
     BUILTIN_NAMES,
     MAX_CUSTOM_ENTRY,
@@ -108,6 +108,12 @@ def test_atlas_lookup_roundtrip(fermat5):
     line = fermat5.line_named(name)
     cls = fermat5.atlas_class(line)
     assert cls == fermat5.gen_class(name)
+
+
+def test_atlas_lookup_refuses_a_line_off_the_atlas(fermat5):
+    line = Line((1, 0, 0, 0), (0, 1, 0, 0))  # x0 = x1 = 0, not on the quintic
+    with pytest.raises(SurfaceError, match=r"line x0 ; x1 is not in the atlas of fermat5"):
+        fermat5.atlas_class(line)
 
 
 def test_builtin_quadric():
