@@ -14,6 +14,8 @@ import math
 import operator
 from collections import namedtuple
 
+from .exprs import format_divisor
+
 
 class NonIntegralError(ValueError):
     """A genus or chi computation produced a half-integer."""
@@ -106,8 +108,6 @@ class DivClass(_Frozen):
         return not any(self.coeffs)
 
     def __str__(self):
-        from .exprs import format_divisor
-
         return format_divisor(self)
 
     def __repr__(self):

@@ -34,7 +34,6 @@ import re
 
 from .cyclo import ONE, ZERO, rational, zeta
 from .geometry import Line
-from .surfaces import SurfaceError
 
 
 class ParseError(ValueError):
@@ -245,7 +244,10 @@ class _Parser:
 
 def _parse(text, parser_type=_Parser):
     parser = parser_type(_tokenize(text))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input starting at {parser.peek()!r}")
     return value
@@ -309,13 +311,13 @@ def parse_divisor(text, model):
         mult = 1
         m = re.match(r"(\d+)\*?", term)
         if m:
-            mult = int(m.group(1))
+            mult = _integer(m.group(1))
             term = term[m.end() :]
         if not term:
             raise ParseError("a bare integer is not a divisor term; name a generator")
         try:
             idx = model.index(term)
-        except SurfaceError as exc:
+        except ValueError as exc:  # the model's unknown-generator message
             raise ParseError(str(exc)) from None
         coeffs[idx] += sign * mult
     return model.class_of(coeffs)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .cyclo import rational, zeta
 from .divisors import DivClass, _class, _Frozen, pair
+from .exprs import parse_divisor
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
 FERMAT_DEGREES = (4, 5)
@@ -100,8 +101,6 @@ class SurfaceModel(_Frozen):
         return _class(self, self.canonical)
 
     def parse(self, text):
-        from .exprs import parse_divisor
-
         return parse_divisor(text, self)
 
     def line_named(self, name):

@@ -161,6 +161,17 @@ def test_intersect_shortens_an_oversized_zeta_order(capsys):
         assert err.strip() == f"error: cyclotomic order {order} exceeds the supported cap 40"
 
 
+def test_intersect_refuses_literals_nested_too_deeply(capsys):
+    for form in ("(" * 3000 + "x0" + ")" * 3000, "-" * 3000 + "x0"):
+        code, out, err = run(capsys, "intersect", f"{form} ; x1", "x2 ; x3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: expression nested too deeply\n"
+    form = "(" * 200 + "x0" + ")" * 200
+    code, out, _ = run(capsys, "intersect", f"{form} ; x1", "x2 ; x3")
+    assert (code, out) == (0, "0 (skew)\n")
+
+
 def test_intersect_atlas_names(capsys):
     code, out, _ = run(
         capsys, "intersect", "L[01|23](0,0)", "L[02|13](0,1)", "--model", "fermat5"
@@ -193,6 +204,21 @@ def test_invariants_unknown_generator(capsys):
     code, out, err = run(capsys, "invariants", "2*Q")
     assert code == 2
     assert "valid names" in err
+
+
+def test_invariants_caps_the_multiplier(capsys):
+    for digits in (5000, 4000):
+        code, out, err = run(capsys, "invariants", "9" * digits + "*H")
+        assert code == 2
+        assert out == ""
+        assert err == "error: integer literal 99999999... exceeds the bit-size cap 4096\n"
+    m = int("9" * 1200)
+    code, out, _ = run(capsys, "invariants", f"{m}*H")
+    assert code == 0
+    d = fermat_model(5).class_of((m,) + (0,) * 75)
+    assert out.splitlines() == [
+        f"degree: {degree(d)}", f"genus: {genus(d)}", f"chi: {chi(d)}", f"k: {k_invariant(d)}",
+    ]
 
 
 def test_witness_search_found(capsys):
