@@ -8,11 +8,12 @@ coefficient inspection.  No floating point enters any decision; a complex
 embedding exists for debugging only.
 
 Values are immutable and operations are pure, so everything here is safe
-to share across threads.  The coefficient functions _normalize, _add and
-_mul work on raw numerator tuples; CycNum calls them directly.  _mul is one
-_convolve into a buffer of length 2*phi - 1 and one _fold of that buffer
-modulo Phi_n; the exact zero tests in geometry convolve many products into
-one buffer and fold it once.
+to share across threads.  One function, _dot, computes every product: the
+signed sum of products of integer numerator tuples at one order, each
+convolved into one buffer of length 2*phi - 1, which is folded modulo Phi_n
+once and not normalized.  A CycNum product is one _dot with one term, an
+inverse a chain of them, and the exact zero tests of geometry are _dot
+over many terms; _normalize and _add finish CycNum's results.
 
 Order-1 operands.  Ints, Fractions and rationals built by rational() have
 order 1, and lifting a rational only sets the constant term.  So a product
@@ -173,42 +174,31 @@ def _add(anums, aden, bnums, bden):
     )
 
 
-def _convolve(conv, anums, bnums, scale):
-    """Add scale times the polynomial product of two numerator tuples into
-    the buffer conv, of length at least len(anums) + len(bnums) - 1."""
-    for i, x in enumerate(anums):
-        if x:
-            x *= scale
-            for j, y in enumerate(bnums):
-                if y:
-                    conv[i + j] += x * y
+def _dot(terms, order):
+    """The sum of sign*x*y over (sign, x, y), for integer numerators x and y
+    at this order and an integer sign, as a list of numerators.
 
-
-def _fold(conv, red_rows):
-    """Reduce a convolution buffer of length 2*phi - 1 modulo the minimal
-    polynomial; red_rows[j] is x^(phi+j).  The numerators are not normalized."""
-    phi = len(red_rows) + 1
+    Every product is convolved into one buffer of length 2*phi - 1, and the
+    buffer is folded modulo Phi_n once, with red_rows[j] = x^(phi+j).  The
+    result is not normalized.
+    """
+    phi = order.phi
+    conv = [0] * (2 * phi - 1)
+    for sign, x, y in terms:
+        for i, a in enumerate(x):
+            if a:
+                a *= sign
+                for j, b in enumerate(y):
+                    if b:
+                        conv[i + j] += a * b
     out = conv[:phi]
-    for j, row in enumerate(red_rows):
+    for j, row in enumerate(order.red_rows):
         t = conv[phi + j]
         if t:
-            for i in range(phi):
-                c = row[i]
+            for i, c in enumerate(row):
                 if c:
                     out[i] += t * c
     return out
-
-
-def _product(anums, bnums, red_rows):
-    """Product of two numerator tuples modulo the minimal polynomial, not
-    normalized: one convolution, one fold."""
-    conv = [0] * (2 * len(anums) - 1)
-    _convolve(conv, anums, bnums, 1)
-    return _fold(conv, red_rows)
-
-
-def _mul(anums, aden, bnums, bden, red_rows):
-    return _normalize(_product(anums, bnums, red_rows), aden * bden)
 
 
 def _substitute(nums, j, order):
@@ -384,9 +374,7 @@ class CycNum:
             nums, den = _normalize([b.nums[0] * v for v in a.nums], a.den * b.den)
             return _wrap(a.order, nums, den)
         a, b = self._align(other)
-        nums, den = _mul(
-            a.nums, a.den, b.nums, b.den, get_order(a.order).red_rows
-        )
+        nums, den = _normalize(_dot(((1, a.nums, b.nums),), get_order(a.order)), a.den * b.den)
         return _wrap(a.order, nums, den)
 
     __rmul__ = __mul__
@@ -406,8 +394,8 @@ class CycNum:
         n, cof = order.n, order.power_rows[0]
         for j in range(2, n):
             if gcd(j, n) == 1:
-                cof = _product(cof, _substitute(self.nums, j, order), order.red_rows)
-        norm = _product(self.nums, cof, order.red_rows)[0]
+                cof = _dot(((1, cof, _substitute(self.nums, j, order)),), order)
+        norm = _dot(((1, self.nums, cof),), order)[0]
         nums, den = _normalize([self.den * c for c in cof], norm)
         return _wrap(self.order, nums, den)
 
@@ -451,10 +439,21 @@ class CycNum:
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other):
-        a, b = self._align(other)
-        if a is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
+        a, b = self, other
+        if a.order != b.order:
+            if lcm(a.order, b.order) > MAX_ORDER and a._key() != b._key():
+                # no order to lift both to, but the ring maps of all orders
+                # agree: a different residue or denominator proves a != b
+                return False
+            a, b = a._align(b)
         return a.nums == b.nums and a.den == b.den
+
+    def _key(self):
+        """The residue and the denominator, which lifting changes neither of."""
+        return _residue(self.nums, get_order(self.order)), self.den
 
     def __hash__(self):
         # the residue and the normalized denominator do not change under
@@ -462,7 +461,7 @@ class CycNum:
         # rational hashes as the Fraction it equals
         if self.is_rational():
             return hash(self.nums[0]) if self.den == 1 else hash(self.as_fraction())
-        return hash((_residue(self.nums, get_order(self.order)), self.den))
+        return hash(self._key())
 
     def __bool__(self):
         return not self.is_zero()

@@ -8,10 +8,10 @@ minors by the nonzero determinant of the row operation between the pairs,
 so two lines are equal exactly when their minors are proportional, and
 incidence, a zero test of a bilinear form, needs no normalization.
 
-Every exact zero test here is a signed sum of products, evaluated by _dot
-with one reduction: the products are convolved on raw numerators, over one
-common denominator, into a single buffer, which is then folded modulo the
-cyclotomic polynomial once, with the coefficient functions of CycNum.
+The minors are integral: each form is first multiplied by the lcm of its
+denominators, which cuts out the same plane.  Every exact zero test here is
+a signed sum of products of their integer numerators, evaluated by
+cyclo._dot with one reduction modulo the cyclotomic polynomial.
 
 The canonical representative, computed only to print or hash a line, is
 the reduced row echelon form of the 2x4 coefficient matrix over the
@@ -40,17 +40,14 @@ for the first nonzero minor p_k, which equal lines share, and every j: q is
 then q_k/p_k times p.
 
 Residues decide almost every test without exact arithmetic.  Each line
-carries the image of its minors in F_P under the ring map of cyclo (see
-RESIDUE_PRIME), after scaling all six by the lcm of their denominators,
-and the l1 norms h_k of the scaled minors' numerators.  That lcm is a
-positive integer, so the scaled minors are the same point of P^5 and have
-integer numerators, which the map takes without any division mod P.  The
-pairing of two images is the image of the pairing of the scaled minors, a
-nonzero integer multiple of the exact pairing, and likewise for each cross
-term; a ring map sends 0 to 0, so a nonzero image proves SKEW, or that two
-lines differ.  A zero image proves the value zero when its norm bound
-allows (cyclo._proves_zero): at the lcm m of the two lines' orders, every
-embedding of the scaled pairing has absolute value at most
+carries the images of its minors in F_P under the ring map of cyclo (see
+RESIDUE_PRIME) and the l1 norms h_k of their numerators; the minors are
+integral, so the map takes them without any division mod P.  The pairing
+of two images is the image of the pairing of the minors, and likewise for
+each cross term; a ring map sends 0 to 0, so a nonzero image proves SKEW,
+or that two lines differ.  A zero image proves the value zero when its
+norm bound allows (cyclo._proves_zero): at the lcm m of the two lines'
+orders, every embedding of the pairing has absolute value at most
 sum_k h_k(a) * h_(5-k)(b), and of a cross term at most
 h_k(a)*h_j(b) + h_j(a)*h_k(b), and a bound B with B^phi(m) < P turns a zero
 residue into MEET (or SAME), or into a vanishing cross term.  Only where
@@ -67,25 +64,22 @@ p_(f c1), p_(g c1), p_(c0 f), p_(c0 g), so
 
     p_k^d * c_j = ([j=d] + [j=0]) * p_k^d + (-1)^d * sum_r A_r^j * B_r^(d-j),
 
-homogeneous of degree d.  Scaled by the line's common factor S, it lies in
-Z[zeta_n]; its residue is a sum of modular powers of the stored residues,
-and its embeddings are bounded by the same form in the stored norms h, with
+homogeneous of degree d.  On the integral minors it lies in Z[zeta_n]; its
+residue is a sum of modular powers of the stored residues, and its
+embeddings are bounded by the same form in the stored norms h, with
 ([j=d] + [j=0]) * h_k^d + sum_r h(A_r)^j * h(B_r)^(d-j).  A nonzero residue
 proves c_j != 0, and a zero one under the bound proves c_j = 0; any other
 c_j is one _dot over powers of the signed minors, at the line's own order.
 """
 
 from enum import Enum
-from math import gcd, lcm
+from math import lcm
 
 from .cyclo import (
     RESIDUE_PRIME,
     _coerce,
     _common_order,
-    _convolve,
-    _fold,
-    _mul,
-    _normalize,
+    _dot,
     _proves_zero,
     _residue,
     _wrap,
@@ -123,14 +117,21 @@ def _signed(i, j):
     return (PLUCKER_INDICES.index((i, j)), 1) if i < j else (PLUCKER_INDICES.index((j, i)), -1)
 
 
+def _integral(form):
+    """The numerators of a form's coefficients, all at one order, times the
+    lcm of their denominators: the same plane, with integer coefficients."""
+    scale = lcm(*(c.den for c in form))
+    return [c.nums if c.den == scale else [v * (scale // c.den) for v in c.nums] for c in form]
+
+
 class Line:
     """A line in P^3 cut out by two linear forms, each four coefficients.
 
-    It is kept as its Plücker minors, in the order of PLUCKER_INDICES, with
-    their residues mod RESIDUE_PRIME and the l1 norms of their numerators,
-    both scaled to integers by the lcm of their denominators, and the RREF
-    pivot columns.  The canonical rank-2 RREF 2x4 matrix `rows` is derived
-    from the minors on each read, to print or hash the line."""
+    It is kept as its Plücker minors, in the order of PLUCKER_INDICES, which
+    are integral because each form is first cleared of denominators, with
+    their residues mod RESIDUE_PRIME, the l1 norms of their numerators and
+    the RREF pivot columns.  The canonical rank-2 RREF 2x4 matrix `rows` is
+    derived from the minors on each read, to print or hash the line."""
 
     __slots__ = ("minors", "residues", "norms", "pivots")
 
@@ -139,9 +140,9 @@ class Line:
         order = get_order(n)
         zero = _wrap(n, (0,) * order.phi, 1)
         coeffs = [c.lift(n) if any(c.nums) else zero for c in coeffs]
-        a, b = coeffs[:4], coeffs[4:]
+        a, b = _integral(coeffs[:4]), _integral(coeffs[4:])
         minors = tuple(
-            _wrap(n, *_normalize(*_dot(((1, a[i], b[j]), (-1, a[j], b[i])), order)))
+            _wrap(n, tuple(_dot(((1, a[i], b[j]), (-1, a[j], b[i])), order)), 1)
             for i, j in PLUCKER_INDICES
         )
         # the first nonzero minor p_(c0 c1) names the RREF pivot columns
@@ -150,24 +151,17 @@ class Line:
             raise GeometryError("the two forms are linearly dependent (rank 1)")
         self.pivots = PLUCKER_INDICES[k]
         self.minors = minors
-        scale = lcm(*(p.den for p in minors))
-        self.residues = tuple(
-            _residue(p.nums, order) * (scale // p.den) % RESIDUE_PRIME for p in minors
-        )
-        self.norms = tuple(sum(map(abs, p.nums)) * (scale // p.den) for p in minors)
+        self.residues = tuple(_residue(p.nums, order) for p in minors)
+        self.norms = tuple(sum(map(abs, p.nums)) for p in minors)
 
     @property
     def rows(self):
         """The canonical rows, p' = p / p_(c0 c1) read off by Cramer's rule."""
         n = self.minors[0].order
-        order = get_order(n)
         c0, c1 = self.pivots
         inv = self.minors[PLUCKER_INDICES.index(self.pivots)].inverse()
-        coord = dict(zip(PLUCKER_INDICES, (
-            _wrap(n, *_mul(p.nums, p.den, inv.nums, inv.den, order.red_rows))
-            for p in self.minors
-        )))
-        zero = _wrap(n, (0,) * order.phi, 1)
+        coord = dict(zip(PLUCKER_INDICES, (p * inv for p in self.minors)))
+        zero = _wrap(n, (0,) * get_order(n).phi, 1)
 
         def entry(i, j):  # p'_ij, with p'_ii = 0 and p'_ji = -p'_ij
             return zero if i == j else coord[i, j] if i < j else -coord[j, i]
@@ -212,7 +206,7 @@ class Line:
             return True
         order, p, q = _aligned(self.minors, other.minors)
         return not any(
-            any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)[0]) for j in rest
+            any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)) for j in rest
         )
 
     def __hash__(self):
@@ -240,45 +234,26 @@ class Incidence(Enum):
     SAME = "SAME"
 
 
-def _dot(terms, order):
-    """The sum of sign*x*y over (sign, x, y), for x, y at the given order, as
-    unnormalized (numerators, denominator).
-
-    Every product is convolved into one buffer over the lcm of the products'
-    denominators, and the buffer is reduced once.
-    """
-    conv = [0] * (2 * order.phi - 1)
-    den = 1
-    for sign, x, y in terms:
-        tden = x.den * y.den
-        if den % tden:
-            grow = tden // gcd(den, tden)
-            conv = [c * grow for c in conv]
-            den *= grow
-        _convolve(conv, x.nums, y.nums, sign * (den // tden))
-    return _fold(conv, order.red_rows), den
-
-
 # signs of p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01: the
 # k-th coordinate of one line is multiplied by the (5-k)-th of the other
 _PAIRING_SIGNS = (1, -1, 1, 1, -1, 1)
 
 
 def _aligned(p, q):
-    """(order, p, q): two Plücker tuples lifted to one order."""
+    """(order, p, q): the numerators of two Plücker tuples at one order."""
     n = p[0].order
     if n != q[0].order:
         n, coords = _common_order(p + q)
         coords = [c.lift(n) for c in coords]
         p, q = coords[:6], coords[6:]
-    return get_order(n), p, q
+    return get_order(n), [c.nums for c in p], [c.nums for c in q]
 
 
 def _pairing_numerators(a, b):
-    """Klein-quadric pairing of two lines' minors as unnormalized (order,
-    nums, den): zero exactly when the canonical pairing is."""
+    """Klein-quadric pairing of two lines' minors as unnormalized numerators:
+    zero exactly when the canonical pairing is."""
     order, p, q = _aligned(a.minors, b.minors)
-    return (order.n, *_dot(zip(_PAIRING_SIGNS, p, reversed(q)), order))
+    return _dot(zip(_PAIRING_SIGNS, p, reversed(q)), order)
 
 
 def lines_meet(a, b):
@@ -290,7 +265,7 @@ def lines_meet(a, b):
     g, h = a.norms, b.norms
     bound = g[0] * h[5] + g[1] * h[4] + g[2] * h[3] + g[3] * h[2] + g[4] * h[1] + g[5] * h[0]
     m = lcm(a.minors[0].order, b.minors[0].order)
-    if not _proves_zero(bound, m) and any(_pairing_numerators(a, b)[1]):
+    if not _proves_zero(bound, m) and any(_pairing_numerators(a, b)):
         return Incidence.SKEW
     return Incidence.SAME if a == b else Incidence.MEET
 
@@ -299,11 +274,11 @@ MAX_FERMAT_EXPANSION_DEGREE = 12
 
 
 def _powers(x, d, order):
-    """x^0, ..., x^d at the order of x, multiplied with _mul."""
-    out = [_wrap(order.n, order.power_rows[0], 1)]
+    """The numerators of x^0, ..., x^d, for the integer numerators x of an
+    element at this order."""
+    out = [order.power_rows[0]]
     for _ in range(d):
-        last = out[-1]
-        out.append(_wrap(order.n, *_mul(last.nums, last.den, x.nums, x.den, order.red_rows)))
+        out.append(_dot(((1, out[-1], x),), order))
     return out
 
 
@@ -318,7 +293,7 @@ def line_on_fermat(line, d):
     With p_k the pivot minor, p_k * (a_0, b_0, a_1, b_1) are the minors
     A_0, B_0, A_1, B_1 = p_(f c1), p_(g c1), p_(c0 f), p_(c0 g), so p_k^d * c_j
     is a form of degree d in the minors.  Each is decided by its residue and
-    norm bound, read off the line's scaled minors, where they suffice, and
+    norm bound, read off the line's minors, where they suffice, and
     exactly otherwise.
     """
     if not isinstance(d, int) or d < 2:
@@ -337,7 +312,7 @@ def line_on_fermat(line, d):
     sign = -1 if d % 2 else 1
     rest = []
     for j in range(d + 1):
-        # the scaled p_k^d * c_j: a nonzero residue proves the line off the surface
+        # p_k^d * c_j: a nonzero residue proves the line off the surface
         lead = (j == d) + (j == 0)
         residue = lead * rp[4][d] + sign * (rp[0][j] * rp[1][d - j] + rp[2][j] * rp[3][d - j])
         if residue % RESIDUE_PRIME:
@@ -347,12 +322,12 @@ def line_on_fermat(line, d):
             rest.append(j)
     if not rest:
         return True
-    powers = [_powers(s * line.minors[k], d, order) for k, s in signed]
+    powers = [_powers([s * v for v in line.minors[k].nums], d, order) for k, s in signed]
     for j in rest:
         terms = [(sign, powers[r][j], powers[r + 1][d - j]) for r in (0, 2)]
         lead = (j == d) + (j == 0)
         if lead:
             terms.append((lead, powers[4][j], powers[4][d - j]))
-        if any(_dot(terms, order)[0]):
+        if any(_dot(terms, order)):
             return False
     return True

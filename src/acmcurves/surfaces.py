@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .cyclo import rational, zeta
 from .divisors import DivClass, _class, _Frozen, pair
-from .exprs import parse_divisor
+from .exprs import ParseError, parse_divisor
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
 FERMAT_DEGREES = (4, 5)
@@ -267,9 +267,11 @@ def load_model(source):
     Expected fields: name:string, kind:"custom", chi0:int, generators:[string],
     gram:[[int]], hyperplane:[int], canonical:[int].  Any other type (a
     bool or 1.5 among the ints included), more than MAX_CUSTOM_GENERATORS
-    generators, or an integer of absolute value MAX_CUSTOM_ENTRY or more raises
-    SurfaceError.  The values are trusted as given; run model_validate to
-    inspect their consistency.
+    generators, an integer of absolute value MAX_CUSTOM_ENTRY or more, or a
+    generator name that repeats or that parse_divisor does not read back as
+    that generator raises SurfaceError, so format_divisor's text for every
+    class reads back as the class.  The values are trusted as given; run
+    model_validate to inspect their consistency.
     """
     if isinstance(source, dict):
         doc = source
@@ -301,7 +303,7 @@ def load_model(source):
     if len(generators) > MAX_CUSTOM_GENERATORS:
         raise SurfaceError(f"custom model field generators has {len(generators)} entries, "
                            f"more than {MAX_CUSTOM_GENERATORS}")
-    return SurfaceModel(
+    model = SurfaceModel(
         name=doc["name"],
         kind="custom",
         degree=None,
@@ -312,6 +314,18 @@ def load_model(source):
         chi0=_entries([doc["chi0"]], "chi0", int)[0],
         gen_genus=(None,) * len(generators),
     )
+    for i, gen in enumerate(generators):
+        if model.index(gen) != i:
+            raise SurfaceError(f"custom model generator name {gen!r} repeats")
+        try:
+            read = parse_divisor(gen, model).coeffs
+        except ParseError:
+            read = None
+        if read != model.gen_class(gen).coeffs:
+            raise SurfaceError(
+                f"custom model generator name {gen!r} does not read back as a generator"
+            )
+    return model
 
 
 def _entries(value, field, kind):

@@ -397,6 +397,22 @@ def test_model_show_refuses_a_document_over_the_caps(tmp_path, capsys, text):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("generators", [
+    ["A", "A"], ["A", "A+B"], ["A", "2"], ["A", ""], ["A", "A B"],
+], ids=["repeated", "sum", "integer", "empty", "space"])
+def test_model_show_refuses_names_that_do_not_read_back(tmp_path, capsys, generators):
+    # a class prints by its generator names, and parse_divisor must read
+    # each name back as exactly that generator
+    doc = {"name": "x", "kind": "custom", "chi0": 1, "generators": generators,
+           "gram": [[1, 0], [0, 1]], "hyperplane": [0, 1], "canonical": [0, 0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "model", "show", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: custom model generator name ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_lines_list(capsys):
     code, out, _ = run(capsys, "lines", "list", "--model", "fermat4")
     assert code == 0

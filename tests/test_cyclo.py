@@ -18,7 +18,8 @@ from acmcurves.cyclo import (
     OrderError,
     _add,
     _common_order,
-    _mul,
+    _dot,
+    _normalize,
     _residue,
     cyclotomic_polynomial,
     get_order,
@@ -190,7 +191,7 @@ def _by_lifting(op, a, b):
     n, (a, b) = _common_order((a, b))
     a, b = a.lift(n), b.lift(n)
     if op == "*":
-        return (n, *_mul(a.nums, a.den, b.nums, b.den, get_order(n).red_rows))
+        return (n, *_normalize(_dot(((1, a.nums, b.nums),), get_order(n)), a.den * b.den))
     bnums = b.nums if op == "+" else tuple(-v for v in b.nums)
     return (n, *_add(a.nums, a.den, bnums, b.den))
 
@@ -266,6 +267,19 @@ def test_equality_and_hash_across_orders():
     assert hash(half_lifted) == hash(rational(1, 2))
     assert len({rational(3), 3, Fraction(3)}) == 1
     assert {zeta(5): "found"}[zeta(5).lift(40)] == "found"
+
+
+def test_equality_across_orders_with_no_common_order():
+    # lcm 56 and 120 exceed the cap, but the ring maps of all orders agree,
+    # so a different residue proves two values different
+    for a, b in ((zeta(7), zeta(8)), (zeta(40), zeta(3))):
+        assert not a == b and not b == a
+        assert a != b and b != a
+    assert zeta(7) not in [zeta(8)]
+    # equal residues still need a common order, and rationals descend to 1
+    assert zeta(7) ** 7 == zeta(8) ** 8
+    with pytest.raises(OrderError):
+        zeta(8) ** 2 == zeta(36) ** 9  # i on both sides, at order 72
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from acmcurves.cyclo import RESIDUE_PRIME, CycNum, _common_order, _wrap
+from acmcurves.cyclo import RESIDUE_PRIME, CycNum, _common_order, _wrap, rational, zeta
 from acmcurves.exprs import parse_line, parse_linear_form
-from acmcurves.geometry import GeometryError, Incidence, Line, lines_meet
+from acmcurves.geometry import GeometryError, Incidence, Line, line_on_fermat, lines_meet
 
 from det_oracle import _det
 from rref_oracle import canonical_rows
@@ -142,6 +142,32 @@ def test_vanishing_residues_keep_the_exact_answer(case):
     equal = _oracle_equal(_oracle_rows(f1, f2), _oracle_rows(g1, g2))
     assert equal is (expected is Incidence.SAME)
     assert (a == b) is equal and (b == a) is equal
+
+
+# forms with denominators, each once as written and once times 2 and 3
+_HALF, _THIRD = rational(1, 2), rational(1, 3)
+_FRACTIONAL_FORMS = {
+    "off-fermat": ((1, _HALF * zeta(5), 0, 0), (0, 0, 3, _THIRD)),
+    "on-fermat5": ((_HALF, _HALF * zeta(5), 0, 0), (0, 0, _THIRD, _THIRD)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRACTIONAL_FORMS))
+def test_minors_are_integral_and_clearing_denominators_keeps_every_answer(fermat5, case):
+    f1, f2 = _FRACTIONAL_FORMS[case]
+    line = Line(f1, f2)
+    cleared = Line([2 * c for c in f1], [3 * c for c in f2])
+    assert all(p.den == 1 for p in line.minors)
+    assert line.minors == cleared.minors
+    assert (line.residues, line.norms) == (cleared.residues, cleared.norms)
+    assert line.rows == cleared.rows
+    assert line == cleared and cleared == line
+    others = (line, cleared) + fermat5.lines
+    assert [lines_meet(line, m) for m in others] == [lines_meet(cleared, m) for m in others]
+    assert [m == line for m in others] == [m == cleared for m in others]
+    assert ([line_on_fermat(line, d) for d in range(2, 7)]
+            == [line_on_fermat(cleared, d) for d in range(2, 7)])
+    assert line_on_fermat(line, 5) is (case == "on-fermat5")
 
 
 def test_building_a_line_never_lifts_a_zero(monkeypatch):

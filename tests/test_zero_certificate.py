@@ -8,7 +8,9 @@ Line.__eq__ or line_on_fermat, that elements of the kernel of the residue
 map are never certified zero, and where the bound stops.
 """
 
+from collections import Counter
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,13 @@ from acmcurves.cyclo import (
     rational,
     zeta,
 )
+from acmcurves.exprs import parse_line
 from acmcurves.geometry import Incidence, Line, line_on_fermat, lines_meet
 
 from fermat_oracle import on_fermat_by_expansion
 from strategies import line_pairs, lines_and_degrees
 
+LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 _P = RESIDUE_PRIME
 # the integer image of zeta_5: zeta_5 - _W5 lies in the kernel of the residue map
 _W5 = _residue(zeta(5).nums, get_order(5))
@@ -143,6 +147,24 @@ def test_the_pairing_bound_at_the_prime(monkeypatch, c, certified):
     monkeypatch.setattr(geometry, "_pairing_numerators", counting)
     assert lines_meet(a, b) is Incidence.MEET
     assert exact == ([] if certified else [(a, b)])
+
+
+def test_the_seed1_literal_pairs_take_the_exact_pairing_at_most_66_times(monkeypatch):
+    # how far the norm bound reaches on the benchmark's own order-40 lines
+    texts = [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
+             if not t.startswith("#")]
+    lines = [parse_line(t) for t in texts]
+    exact = []
+    pairing = geometry._pairing_numerators
+
+    def counting(a, b):
+        exact.append((a, b))
+        return pairing(a, b)
+
+    monkeypatch.setattr(geometry, "_pairing_numerators", counting)
+    answers = Counter(lines_meet(a, b) for a, b in zip(lines[::2], lines[1::2]))
+    assert answers == {Incidence.MEET: 72, Incidence.SKEW: 72}
+    assert len(exact) <= 66
 
 
 def test_meeting_lines_above_the_order_cap_still_fail(capsys):
