@@ -13,7 +13,9 @@ signed sum of products of integer numerator tuples at one order, each
 convolved into one buffer of length 2*phi - 1, which is folded modulo Phi_n
 once and not normalized.  A CycNum product is one _dot with one term, an
 inverse a chain of them, and the exact zero tests of geometry are _dot
-over many terms; _normalize and _add finish CycNum's results.
+over many terms; _normalize and _add finish CycNum's results.  One
+function, _lifted, brings values of different orders to their common
+order, for CycNum's operators and for geometry's lines alike.
 
 Order-1 operands.  Ints, Fractions and rationals built by rational() have
 order 1, and lifting a rational only sets the constant term.  So a product
@@ -241,7 +243,7 @@ def _common_order(values):
     Only when that lcm exceeds the cap are rational values of a higher
     order rewritten at order 1 first, so that mixed orders fail only when
     an irrational value needs them; below the cap every value keeps its
-    order, and results keep the order they have always had.
+    order.
     """
     n = lcm(*(v.order for v in values))
     if n > MAX_ORDER:
@@ -252,6 +254,20 @@ def _common_order(values):
         n = lcm(*(v.order for v in values))
     _check_order(n)
     return n, values
+
+
+def _lifted(values):
+    """(n, numerators): the common order n of the values (_common_order) and
+    each value's integer numerators at order n, over its own denominator.
+
+    A value at order n keeps its numerators and a zero becomes phi(n)
+    zeros; only the others are lifted.
+    """
+    n, values = _common_order(values)
+    zeros = (0,) * get_order(n).phi
+    return n, [
+        v.nums if v.order == n else v.lift(n).nums if any(v.nums) else zeros for v in values
+    ]
 
 
 def _absorbs(x, zero):
@@ -308,8 +324,9 @@ class CycNum:
         _check_order(n)
         if n % self.order:
             raise OrderError(f"order {self.order} does not divide {n}")
-        nums, den = _normalize(_substitute(self.nums, n // self.order, get_order(n)), self.den)
-        return _wrap(n, nums, den)
+        # Z[zeta_n] is free over the image of Z[zeta_m], with 1 in a basis, so
+        # the lift keeps the content of the numerators: it stays normalized
+        return _wrap(n, tuple(_substitute(self.nums, n // self.order, get_order(n))), self.den)
 
     # -- predicates ---------------------------------------------------
 
@@ -328,15 +345,6 @@ class CycNum:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _align(self, other):
-        other = _coerce(other)
-        if other is None:
-            return None, None
-        if self.order == other.order:
-            return self, other
-        n, (a, b) = _common_order((self, other))
-        return a.lift(n), b.lift(n)
-
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
@@ -345,9 +353,9 @@ class CycNum:
             return self
         if _absorbs(other, self):
             return other
-        a, b = self._align(other)
-        nums, den = _add(a.nums, a.den, b.nums, b.den)
-        return _wrap(a.order, nums, den)
+        n, (x, y) = _lifted((self, other))
+        nums, den = _add(x, self.den, y, other.den)
+        return _wrap(n, nums, den)
 
     __radd__ = __add__
 
@@ -373,9 +381,9 @@ class CycNum:
             a, b = (self, other) if other.order == 1 else (other, self)
             nums, den = _normalize([b.nums[0] * v for v in a.nums], a.den * b.den)
             return _wrap(a.order, nums, den)
-        a, b = self._align(other)
-        nums, den = _normalize(_dot(((1, a.nums, b.nums),), get_order(a.order)), a.den * b.den)
-        return _wrap(a.order, nums, den)
+        n, (x, y) = _lifted((self, other))
+        nums, den = _normalize(_dot(((1, x, y),), get_order(n)), self.den * other.den)
+        return _wrap(n, nums, den)
 
     __rmul__ = __mul__
 
@@ -442,14 +450,12 @@ class CycNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        if a.order != b.order:
-            if lcm(a.order, b.order) > MAX_ORDER and a._key() != b._key():
-                # no order to lift both to, but the ring maps of all orders
-                # agree: a different residue or denominator proves a != b
-                return False
-            a, b = a._align(b)
-        return a.nums == b.nums and a.den == b.den
+        if lcm(self.order, other.order) > MAX_ORDER and self._key() != other._key():
+            # no order to lift both to, but the ring maps of all orders
+            # agree: a different residue or denominator proves self != other
+            return False
+        _, (x, y) = _lifted((self, other))
+        return x == y and self.den == other.den
 
     def _key(self):
         """The residue and the denominator, which lifting changes neither of."""

@@ -384,7 +384,7 @@ def certify_effective(d):
         return EffectivityCertificate(True, (
             "nonnegative combination of H, atlas lines, and residual plane curves" if atlas
             else "nonnegative combination of registered generators"), tuple(parts))
-    if model.degree == 5 and degree(d) == 1 and pair(d, d) == -3:
+    if model.degree == 5 and degree(d) == 1 and deg1_effectivity_test(d):
         return EffectivityCertificate(
             True, "degree-1 class with self-intersection -3", ((d, 1),)
         )

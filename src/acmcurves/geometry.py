@@ -11,7 +11,8 @@ incidence, a zero test of a bilinear form, needs no normalization.
 The minors are integral: each form is first multiplied by the lcm of its
 denominators, which cuts out the same plane.  Every exact zero test here is
 a signed sum of products of their integer numerators, evaluated by
-cyclo._dot with one reduction modulo the cyclotomic polynomial.
+cyclo._dot with one reduction modulo the cyclotomic polynomial, at the
+common order to which cyclo._lifted brings the forms or the two lines.
 
 The canonical representative, computed only to print or hash a line, is
 the reduced row echelon form of the 2x4 coefficient matrix over the
@@ -78,13 +79,12 @@ from math import lcm
 from .cyclo import (
     RESIDUE_PRIME,
     _coerce,
-    _common_order,
     _dot,
+    _lifted,
     _proves_zero,
     _residue,
     _wrap,
     get_order,
-    rational,
 )
 
 
@@ -117,11 +117,11 @@ def _signed(i, j):
     return (PLUCKER_INDICES.index((i, j)), 1) if i < j else (PLUCKER_INDICES.index((j, i)), -1)
 
 
-def _integral(form):
-    """The numerators of a form's coefficients, all at one order, times the
-    lcm of their denominators: the same plane, with integer coefficients."""
+def _integral(form, nums):
+    """The numerators nums of a form's coefficients, all at one order, times
+    the lcm of their denominators: the same plane, with integer coefficients."""
     scale = lcm(*(c.den for c in form))
-    return [c.nums if c.den == scale else [v * (scale // c.den) for v in c.nums] for c in form]
+    return [x if c.den == scale else [v * (scale // c.den) for v in x] for c, x in zip(form, nums)]
 
 
 class Line:
@@ -136,11 +136,10 @@ class Line:
     __slots__ = ("minors", "residues", "norms", "pivots")
 
     def __init__(self, f1, f2):
-        n, coeffs = _common_order(_form(f1) + _form(f2))
+        coeffs = _form(f1) + _form(f2)
+        n, nums = _lifted(coeffs)
         order = get_order(n)
-        zero = _wrap(n, (0,) * order.phi, 1)
-        coeffs = [c.lift(n) if any(c.nums) else zero for c in coeffs]
-        a, b = _integral(coeffs[:4]), _integral(coeffs[4:])
+        a, b = _integral(coeffs[:4], nums[:4]), _integral(coeffs[4:], nums[4:])
         minors = tuple(
             _wrap(n, tuple(_dot(((1, a[i], b[j]), (-1, a[j], b[i])), order)), 1)
             for i, j in PLUCKER_INDICES
@@ -172,19 +171,6 @@ class Line:
             tuple(entry(c0, j) for j in range(4)),
         )
 
-    def points(self):
-        """Two independent points spanning the line (null space basis)."""
-        rows = self.rows
-        free = [c for c in range(4) if c not in self.pivots]
-        basis = []
-        for f in free:
-            v = [rational(0)] * 4
-            v[f] = rational(1)
-            for r, p in enumerate(self.pivots):
-                v[p] = -rows[r][f]
-            basis.append(tuple(v))
-        return tuple(basis)
-
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
@@ -204,7 +190,8 @@ class Line:
         ]
         if not rest:
             return True
-        order, p, q = _aligned(self.minors, other.minors)
+        n, nums = _lifted(self.minors + other.minors)
+        order, p, q = get_order(n), nums[:6], nums[6:]
         return not any(
             any(_dot(((1, p[k], q[j]), (-1, p[j], q[k])), order)) for j in rest
         )
@@ -239,21 +226,11 @@ class Incidence(Enum):
 _PAIRING_SIGNS = (1, -1, 1, 1, -1, 1)
 
 
-def _aligned(p, q):
-    """(order, p, q): the numerators of two Plücker tuples at one order."""
-    n = p[0].order
-    if n != q[0].order:
-        n, coords = _common_order(p + q)
-        coords = [c.lift(n) for c in coords]
-        p, q = coords[:6], coords[6:]
-    return get_order(n), [c.nums for c in p], [c.nums for c in q]
-
-
 def _pairing_numerators(a, b):
     """Klein-quadric pairing of two lines' minors as unnormalized numerators:
     zero exactly when the canonical pairing is."""
-    order, p, q = _aligned(a.minors, b.minors)
-    return _dot(zip(_PAIRING_SIGNS, p, reversed(q)), order)
+    n, nums = _lifted(a.minors + b.minors)
+    return _dot(zip(_PAIRING_SIGNS, nums[:6], reversed(nums[6:])), get_order(n))
 
 
 def lines_meet(a, b):

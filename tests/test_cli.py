@@ -2,6 +2,7 @@
 
 import json
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """The commands of README.md's command-line block, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_block_is_ten_acmcurves_commands():
+    commands = _readme_commands()
+    assert len(commands) == 10
+    assert all(argv[0] == "acmcurves" for argv in commands)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_command_block_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv[1:])
+    assert code == 0
+    assert out.strip()
 
 
 def test_classify_golden(capsys):

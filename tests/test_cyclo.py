@@ -21,6 +21,7 @@ from acmcurves.cyclo import (
     _dot,
     _normalize,
     _residue,
+    _wrap,
     cyclotomic_polynomial,
     get_order,
     rational,
@@ -291,6 +292,25 @@ def test_hash_and_denominator_survive_lifting(x):
         assert lifted == x
         assert hash(lifted) == hash(x)
         assert lifted.den == x.den
+
+
+def test_a_lift_keeps_the_content_of_the_numerators():
+    # Z[zeta_n] is free over the image of Z[zeta_m], with 1 in a basis, so a
+    # lift keeps the content of the numerators: lift does not normalize, and
+    # __hash__ reads the numerators' residue over the same denominator
+    rng = random.Random(21)
+    for n in range(1, MAX_ORDER + 1):
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            for _ in range(8):
+                nums = [rng.randint(-9, 9) for _ in range(get_order(m).phi)]
+                content = gcd(*nums)
+                if not content:
+                    continue
+                x = _wrap(m, tuple(v // content for v in nums), rng.randint(1, 6))
+                lifted = x.lift(n)
+                assert gcd(*lifted.nums) == 1
+                assert lifted == x
+                assert hash(lifted) == hash(x)
 
 
 def test_rational_extraction_and_powers():

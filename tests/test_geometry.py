@@ -15,6 +15,7 @@ from acmcurves.geometry import (
 )
 
 from det_oracle import stacked_determinant
+from fermat_oracle import points
 
 ONE = rational(1)
 ZERO = rational(0)
@@ -122,7 +123,7 @@ def test_meet_is_symmetric_and_det_criterion_matches(skew_pair):
 def _on_fermat_by_point_evaluation(line, d):
     # independent membership oracle: a degree-d form vanishes on the line
     # iff it vanishes at d+1 distinct parameter points
-    p, q = line.points()
+    p, q = points(line)
     for t in range(d + 1):
         pt = [a + b * t for a, b in zip(p, q)]
         val = sum((c**d for c in pt), rational(0))
@@ -167,7 +168,7 @@ def test_membership_degree_bounds():
 
 def test_points_lie_on_the_line(skew_pair):
     for line in skew_pair:
-        for pt in line.points():
+        for pt in points(line):
             for row in line.rows:
                 val = sum((c * x for c, x in zip(row, pt)), rational(0))
                 assert val.is_zero()
