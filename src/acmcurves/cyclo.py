@@ -15,7 +15,10 @@ once and not normalized.  A CycNum product is one _dot with one term, an
 inverse a chain of them, and the exact zero tests of geometry are _dot
 over many terms; _normalize and _add finish CycNum's results.  One
 function, _lifted, brings values of different orders to their common
-order, for CycNum's operators and for geometry's lines alike.
+order, for CycNum's operators and for geometry's lines alike.  Values of
+one order pass through it untouched.  Where the lcm of the orders exceeds
+the cap, each value is first rewritten at its conductor, the least order
+whose field holds it, so zeta(8)^2 * zeta(7) is computed at order 28.
 
 Order-1 operands.  Ints, Fractions and rationals built by rational() have
 order 1, and lifting a rational only sets the constant term.  So a product
@@ -45,7 +48,8 @@ any B at least that norm.  Hence B^phi(n) < P and a zero residue prove
 x = 0 (_proves_zero).  Where the bound fails, as for large numerators or
 a numerator that is a multiple of P, a zero residue proves nothing and the
 element must be tested exactly; above the order cap the bound is not
-applied, so such values keep failing with OrderError on the exact path.
+applied, so such values take the exact path, which descends to conductors
+or fails with OrderError.
 
 Inverse by the norm.  For an element nums/den, the product cof of the
 other Galois conjugates sigma_j(nums), j a unit mod n other than 1, times
@@ -237,20 +241,60 @@ def _wrap(n, nums, den):
     return self
 
 
+def _below(nums, n, p):
+    """The numerators at order m = n/p, for a prime p | n, of the element with
+    these numerators at order n, or None when it does not lie in Q(zeta_m).
+
+    The candidate is the trace down to Q(zeta_m), divided by the degree.  If
+    p | m, the trace of z^i is p*zeta_m^(i/p) when p | i and 0 otherwise.  If
+    not, zeta_n = zeta_m^s * zeta_p^t with s*p = 1 mod m and t a unit mod p,
+    so the trace of z^i is zeta_m^(i*s) times p - 1 when p | i and -1
+    otherwise.  The candidate is the element exactly when it lifts back to
+    these numerators.
+    """
+    m = n // p
+    if m % p == 0:
+        below = list(nums[::p])
+    else:
+        s, rows = pow(p, -1, m), get_order(m).power_rows
+        trace = [0] * get_order(m).phi
+        for i, c in enumerate(nums):
+            if c:
+                c *= p - 1 if i % p == 0 else -1
+                for k, r in enumerate(rows[i * s % m]):
+                    trace[k] += c * r
+        if any(v % (p - 1) for v in trace):
+            return None
+        below = [v // (p - 1) for v in trace]
+    return below if _substitute(below, p, get_order(n)) == list(nums) else None
+
+
+def _at_conductor(v):
+    """v at its conductor, the least order m | v.order with v in Q(zeta_m).
+
+    The orders whose fields hold v are closed under gcd, so dropping one
+    prime at a time while v stays inside reaches the least of them.  The
+    numerators keep their content, as under a lift, so v.den still
+    normalizes them.
+    """
+    n, nums = v.order, v.nums
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, p)):  # p is prime
+            while n % p == 0 and (below := _below(nums, n, p)) is not None:
+                n, nums = n // p, tuple(below)
+    return _wrap(n, nums, v.den)
+
+
 def _common_order(values):
     """(n, values): the lcm n of the values' orders, checked against the cap.
 
-    Only when that lcm exceeds the cap are rational values of a higher
-    order rewritten at order 1 first, so that mixed orders fail only when
-    an irrational value needs them; below the cap every value keeps its
-    order.
+    Only when that lcm exceeds the cap is each value rewritten at its
+    conductor first, a rational at order 1, so that mixed orders fail only
+    when the values need them; below the cap every value keeps its order.
     """
     n = lcm(*(v.order for v in values))
     if n > MAX_ORDER:
-        values = tuple(
-            _wrap(1, v.nums[:1], v.den) if v.order > 1 and v.is_rational() else v
-            for v in values
-        )
+        values = tuple(map(_at_conductor, values))
         n = lcm(*(v.order for v in values))
     _check_order(n)
     return n, values
@@ -260,9 +304,16 @@ def _lifted(values):
     """(n, numerators): the common order n of the values (_common_order) and
     each value's integer numerators at order n, over its own denominator.
 
-    A value at order n keeps its numerators and a zero becomes phi(n)
-    zeros; only the others are lifted.
+    Values of one order return at once.  Otherwise a value at order n keeps
+    its numerators and a zero becomes phi(n) zeros; only the others are
+    lifted.
     """
+    n = values[0].order
+    for v in values:
+        if v.order != n:
+            break
+    else:
+        return n, [v.nums for v in values]
     n, values = _common_order(values)
     zeros = (0,) * get_order(n).phi
     return n, [
@@ -299,10 +350,10 @@ class CycNum:
 
     Supports the usual operators against other elements, ints, and
     Fractions.  Operands of different orders are lifted to Q(zeta_lcm)
-    first; the lcm must stay within the order cap, after rational operands
-    descend to order 1 when it would not.  An order-1 operand of a product,
-    or a zero of an order dividing the other operand's in a sum, is applied
-    without lifting.
+    first; the lcm must stay within the order cap, after the operands
+    descend to their conductors when it would not.  An order-1 operand of a
+    product, or a zero of an order dividing the other operand's in a sum, is
+    applied without lifting.
     """
 
     __slots__ = ("order", "nums", "den")

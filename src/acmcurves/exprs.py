@@ -23,6 +23,11 @@ coefficients of x2 and x3 to order 40.  A scalar part that cancels, as in
 "x0 + zeta(8)*x1 + 2*zeta(40) - 2*zeta(40)", leaves the coefficients at the
 orders of the coordinate terms alone.
 
+A monomial form, a sum of terms [c*][zeta(n)[^e]*]x_i such as
+"x0 - 3*zeta(40)^13*x1", is read in one regex pass (_monomial_form), with
+the values the grammar would give.  Everything else, every error included,
+goes through the grammar.
+
 Line literals are two forms separated by ";", with an optional "line:"
 prefix.  Divisor expressions are signed integer combinations of a model's
 generator names, e.g. "2*H - L[01|23](0,0)", or "0" for the zero class;
@@ -32,7 +37,7 @@ list of valid generators.
 
 import re
 
-from .cyclo import ONE, ZERO, rational, zeta
+from .cyclo import MAX_ORDER, ONE, ZERO, _wrap, get_order, rational, zeta
 from .geometry import Line
 
 
@@ -261,8 +266,42 @@ def parse_scalar(text):
     return value.const
 
 
+# one term of a monomial form: sign, coefficient, root order, exponent and
+# coordinate, with whitespace wherever the tokenizer allows it; the digit
+# bounds keep the coefficient far below the bit-size cap and e < MAX_EXPONENT
+_MONOMIAL = re.compile(
+    r"\s*([+-]?)\s*(?:(\d{1,9})\s*\*)?"
+    r"\s*(?:zeta\s*\(\s*(\d{1,2})\s*\)\s*(?:\^\s*(\d{1,3}))?\s*\*)?\s*x([0-3])\s*"
+)
+
+
+def _monomial_form(text):
+    """The coefficients of a sum of terms [c*][zeta(n)[^e]*]x_i, each at the
+    order and in the representation the grammar gives, or None for any other
+    text.  A leading "+", a repeated coordinate and a form whose coefficients
+    are all zero are None too, so the grammar sums or refuses them."""
+    coeffs = [None] * 4
+    pos = 0
+    for m in _MONOMIAL.finditer(text):
+        sign, c, n, e, i = m.groups()
+        i, n = int(i), int(n) if n else 1
+        if m.start() != pos or sign == ("+" if pos == 0 else "") or coeffs[i] is not None:
+            return None
+        if not 0 < n <= MAX_ORDER:
+            return None
+        c = -int(c or 1) if sign == "-" else int(c or 1)
+        coeffs[i] = _wrap(n, tuple(c * r for r in get_order(n).power_rows[int(e or 1) % n]), 1)
+        pos = m.end()
+    if pos != len(text) or not any(coeffs):  # None and a zero are false
+        return None
+    return tuple(ZERO if c is None else c for c in coeffs)
+
+
 def parse_linear_form(text):
     """Coefficients of a linear form in x0..x3."""
+    coeffs = _monomial_form(text)
+    if coeffs is not None:
+        return coeffs
     value = _parse(text)
     if not value.const.is_zero():
         raise ParseError("a projective linear form cannot have a constant term")

@@ -147,6 +147,15 @@ def test_intersect_mixed_orders_with_a_rational_coefficient(capsys):
     assert out.strip() == "0 (skew)"
 
 
+def test_intersect_descends_coefficients_to_their_conductors(capsys):
+    # zeta(8)^2 = i lies in Q(zeta_4), so i*zeta(7) needs order 28, not 56
+    code, out, err = run(capsys, "intersect", "zeta(8)^2*zeta(7)*x0 + x1 ; x2", "x0 ; x1")
+    assert (code, out.strip(), err) == (0, "1 (meet at one point)", "")
+    code, out, err = run(capsys, "intersect", "zeta(8)*zeta(7)*x0 + x1 ; x2", "x0 ; x1")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: cyclotomic order 56 exceeds the supported cap 40"
+
+
 def test_intersect_refuses_oversized_literals(capsys):
     rng = random.Random(4096)
     quotient = " + ".join(

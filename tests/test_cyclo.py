@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from acmcurves import cyclo
 from acmcurves.cyclo import (
     MAX_ORDER,
     RESIDUE_PRIME,
@@ -17,8 +18,10 @@ from acmcurves.cyclo import (
     CycNum,
     OrderError,
     _add,
+    _at_conductor,
     _common_order,
     _dot,
+    _lifted,
     _normalize,
     _residue,
     _wrap,
@@ -277,10 +280,72 @@ def test_equality_across_orders_with_no_common_order():
         assert not a == b and not b == a
         assert a != b and b != a
     assert zeta(7) not in [zeta(8)]
-    # equal residues still need a common order, and rationals descend to 1
+    # equal residues still need a common order: rationals descend to 1, and
+    # other values to their conductors
     assert zeta(7) ** 7 == zeta(8) ** 8
-    with pytest.raises(OrderError):
-        zeta(8) ** 2 == zeta(36) ** 9  # i on both sides, at order 72
+    assert zeta(8) ** 2 == zeta(36) ** 9  # i on both sides, at order 4, not 72
+
+
+def test_values_of_one_order_skip_the_common_order(monkeypatch):
+    rng = random.Random(40)
+    pairs = [(_random_element(rng, 40), _random_element(rng, 40)) for _ in range(20)]
+    pairs.append((zeta(40, 13), zeta(40, 13) - 0))
+    want = [(_by_lifting("+", a, b), _by_lifting("*", a, b)) for a, b in pairs]
+    calls = []
+    common = cyclo._common_order
+    monkeypatch.setattr(cyclo, "_common_order", lambda values: calls.append(values) or common(values))
+    for (a, b), (plus, times) in zip(pairs, want):
+        assert _rep(a + b) == plus and _rep(a * b) == times
+        assert (a == b) == (_rep(a) == _rep(b))
+        assert _lifted((a, b, a)) == (40, [a.nums, b.nums, a.nums])
+    assert calls == []
+    zeta(8) * zeta(5)  # mixed orders still take the common order
+    assert len(calls) == 1
+
+
+def _conductor_of_root(n, k):
+    """The conductor of zeta_n^k: its order d, or d/2 when d = 2 mod 4."""
+    d = n // gcd(n, k)
+    return d // 2 if d % 4 == 2 else d
+
+
+def test_roots_descend_to_their_conductors():
+    for n in range(1, MAX_ORDER + 1):
+        for k in range(n):
+            x = zeta(n, k)
+            c = _at_conductor(x)
+            assert c.order == _conductor_of_root(n, k), (n, k)
+            assert c.lift(n).nums == x.nums and c.den == x.den
+
+
+def _source_and_lift_orders():
+    """(m, n): an order n within the cap and a divisor m of it."""
+    return st.integers(1, MAX_ORDER).flatmap(
+        lambda n: st.tuples(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]), st.just(n))
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_source_and_lift_orders().flatmap(lambda mn: st.tuples(elements(mn[0]), st.just(mn[1]))))
+def test_a_lift_descends_to_the_conductor_of_its_source(xn):
+    x, n = xn
+    c = _at_conductor(x)
+    assert x.order % c.order == 0 and _rep(c.lift(x.order)) == _rep(x)
+    assert _rep(_at_conductor(x.lift(n))) == _rep(c)
+
+
+def test_values_descend_to_their_conductors_above_the_cap():
+    # i * zeta_7 lies in Q(zeta_28), although zeta(8)^2 is written at order 8
+    prod = zeta(8) ** 2 * zeta(7)
+    assert prod.order == 28 and _rep(prod) == _rep(zeta(4) * zeta(7))
+    assert (zeta(8) ** 2 + zeta(36) ** 9).order == 4  # both i: order 4, not 72
+    # below the cap nothing descends
+    assert (zeta(8) ** 2 * zeta(5)).order == 40
+    # a value whose conductor is over the cap keeps the error of its order
+    for a, b in ((zeta(8), zeta(7)), (zeta(8, 3) * 2, zeta(14))):
+        with pytest.raises(OrderError) as err:
+            a * b
+        assert str(err.value) == "cyclotomic order 56 exceeds the supported cap 40"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
