@@ -304,16 +304,9 @@ def _lifted(values):
     """(n, numerators): the common order n of the values (_common_order) and
     each value's integer numerators at order n, over its own denominator.
 
-    Values of one order return at once.  Otherwise a value at order n keeps
-    its numerators and a zero becomes phi(n) zeros; only the others are
-    lifted.
+    A value at order n keeps its numerators and a zero becomes phi(n)
+    zeros; only the others are lifted.
     """
-    n = values[0].order
-    for v in values:
-        if v.order != n:
-            break
-    else:
-        return n, [v.nums for v in values]
     n, values = _common_order(values)
     zeros = (0,) * get_order(n).phi
     return n, [

@@ -266,12 +266,20 @@ def parse_scalar(text):
     return value.const
 
 
-# one term of a monomial form: sign, coefficient, root order, exponent and
-# coordinate, with whitespace wherever the tokenizer allows it; the digit
-# bounds keep the coefficient far below the bit-size cap and e < MAX_EXPONENT
+# The reader's bounds: a coefficient of at most this many digits, far below
+# the bit-size cap, and an exponent of fewer digits than MAX_EXPONENT has,
+# so e < MAX_EXPONENT.
+_COEFF_DIGITS = 9
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT)) - 1
+
+# One term of a monomial form: sign, coefficient, root order, exponent and
+# coordinate.  Whitespace goes where the tokenizer allows it, but only after
+# a token or at the start of the text, so no two \s* meet: each run of it has
+# one reading and a failed match costs time linear in the text.
 _MONOMIAL = re.compile(
-    r"\s*([+-]?)\s*(?:(\d{1,9})\s*\*)?"
-    r"\s*(?:zeta\s*\(\s*(\d{1,2})\s*\)\s*(?:\^\s*(\d{1,3}))?\s*\*)?\s*x([0-3])\s*"
+    rf"(?:\A\s*)?(?:([+-])\s*)?(?:(\d{{1,{_COEFF_DIGITS}}})\s*\*\s*)?"
+    rf"(?:zeta\s*\(\s*(\d{{1,2}})\s*\)\s*(?:\^\s*(\d{{1,{_EXPONENT_DIGITS}}})\s*)?\*\s*)?"
+    r"x([0-3])\s*"
 )
 
 
@@ -285,7 +293,7 @@ def _monomial_form(text):
     for m in _MONOMIAL.finditer(text):
         sign, c, n, e, i = m.groups()
         i, n = int(i), int(n) if n else 1
-        if m.start() != pos or sign == ("+" if pos == 0 else "") or coeffs[i] is not None:
+        if m.start() != pos or (sign == "+" if pos == 0 else not sign) or coeffs[i] is not None:
             return None
         if not 0 < n <= MAX_ORDER:
             return None

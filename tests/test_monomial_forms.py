@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acmcurves import exprs
-from acmcurves.cyclo import zeta
+from acmcurves.cyclo import MAX_ORDER, get_order, zeta
 from acmcurves.exprs import parse_linear_form
 
 LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
@@ -84,6 +84,7 @@ def test_the_reader_agrees_with_the_grammar(text):
     ("zeta(8)^1000*x1", False, "ok"),
     ("zeta(8)^1001*x1", False, (exprs.ParseError, "exponent 1001 exceeds the cap 1000")),
     ("x 0", False, (exprs.ParseError, "unexpected input at 'x 0'")),
+    ("x0 x1", False, (exprs.ParseError, "trailing input starting at 'x1'")),
     # the tokenizer reads the whole text before zeta(41) is evaluated
     ("zeta(41)*x1 + x4", False, (exprs.ParseError, "unexpected input at 'x4'")),
     ("3 * zeta ( 8 ) ^ 4 * x0\t- x1 ", True, "ok"),
@@ -93,6 +94,49 @@ def test_the_reader_agrees_with_the_grammar(text):
 ])
 def test_pinned_forms(text, read, outcome):
     assert (exprs._monomial_form(text) is not None) == read
+    got = _outcome(text)
+    assert got == _by_grammar(text)
+    assert (got[0] if outcome == "ok" else got) == outcome
+
+
+def test_the_reader_stays_inside_the_grammar_caps():
+    """The reader's digit bounds come from the grammar's caps: its largest
+    exponent is below MAX_EXPONENT, and its largest coefficient times any
+    power-row entry fits the bit-size cap.  One more is the grammar's."""
+    top = 10**exprs._EXPONENT_DIGITS - 1
+    assert top < exprs.MAX_EXPONENT
+    for e in (top, top + 1, exprs.MAX_EXPONENT, exprs.MAX_EXPONENT + 1):
+        text = f"zeta(8)^{e}*x1"
+        assert (exprs._monomial_form(text) is not None) == (e <= top)
+        assert _outcome(text) == _by_grammar(text)
+    top = 10**exprs._COEFF_DIGITS - 1
+    row_max = max(abs(r) for n in range(1, MAX_ORDER + 1)
+                  for row in get_order(n).power_rows for r in row)
+    assert (top * row_max).bit_length() <= exprs.MAX_POWER_BITS
+    for c in (top, top + 1):
+        text = f"x0 - {c}*zeta(40)^13*x1"
+        assert (exprs._monomial_form(text) is not None) == (c <= top)
+        assert _outcome(text) == _by_grammar(text)
+
+
+SPACES = " " * 5000
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("x0 +" + SPACES + "(x1)", "ok"),
+    ("x0 ;" + SPACES + "!x1", (exprs.ParseError, "unexpected input at ';                   '")),
+    (SPACES + "!x1", (exprs.ParseError, "unexpected input at '!x1'")),
+    ("x0" + SPACES + "!", (exprs.ParseError, "unexpected input at '!'")),
+    ("-" + SPACES + "3" + SPACES + "*" + SPACES + "x1" + SPACES, "ok"),
+    ("zeta(8)" + SPACES + "^" + SPACES + "-3*x2", "ok"),
+    # a million characters: linear on both paths, hours for a pattern whose
+    # whitespace runs have many readings
+    ("x0 -" + " \t" * 500_000 + "!x1", (exprs.ParseError, "unexpected input at '!x1'")),
+], ids=["paren", "semicolon", "leading", "trailing", "every-gap", "negative-power", "1M"])
+def test_long_whitespace_runs_get_the_grammar_outcome(text, outcome):
+    """Each run of whitespace has one reading in the reader's pattern, so a
+    text that is not a monomial form is refused in time linear in its
+    length, and the grammar gives its outcome."""
     got = _outcome(text)
     assert got == _by_grammar(text)
     assert (got[0] if outcome == "ok" else got) == outcome
