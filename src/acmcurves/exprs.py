@@ -25,8 +25,10 @@ orders of the coordinate terms alone.
 
 A monomial form, a sum of terms [c*][zeta(n)[^e]*]x_i such as
 "x0 - 3*zeta(40)^13*x1", is read in one regex pass (_monomial_form), with
-the values the grammar would give.  Everything else, every error included,
-goes through the grammar.
+the values the grammar would give.  So is a plane combination of monomial
+forms, whose terms may also be [c*][zeta(n)[^e]*](f) with f a monomial form,
+as in "zeta(8)^6*(x1 + 2*zeta(5)^4*x0) - 3*(x0 + x2)".  Everything else,
+every error included, goes through the grammar.
 
 Line literals are two forms separated by ";", with an optional "line:"
 prefix.  Divisor expressions are signed integer combinations of a model's
@@ -36,6 +38,7 @@ list of valid generators.
 """
 
 import re
+from math import lcm
 
 from .cyclo import MAX_ORDER, ONE, ZERO, _wrap, get_order, rational, zeta
 from .geometry import Line
@@ -272,35 +275,70 @@ def parse_scalar(text):
 _COEFF_DIGITS = 9
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT)) - 1
 
-# One term of a monomial form: sign, coefficient, root order, exponent and
-# coordinate.  Whitespace goes where the tokenizer allows it, but only after
-# a token or at the start of the text, so no two \s* meet: each run of it has
-# one reading and a failed match costs time linear in the text.
+# One term of a form: sign, coefficient, root order and exponent, then a
+# coordinate or the "(" of a parenthesised form; a ")" is a term of its own.
+# Whitespace goes where the tokenizer allows it, but only after a token or at
+# the start of the text, so no two \s* meet: each run of it has one reading
+# and a failed match costs time linear in the text.
 _MONOMIAL = re.compile(
     rf"(?:\A\s*)?(?:([+-])\s*)?(?:(\d{{1,{_COEFF_DIGITS}}})\s*\*\s*)?"
     rf"(?:zeta\s*\(\s*(\d{{1,2}})\s*\)\s*(?:\^\s*(\d{{1,{_EXPONENT_DIGITS}}})\s*)?\*\s*)?"
-    r"x([0-3])\s*"
+    r"(?:x([0-3])|(\())\s*|\)\s*"
 )
 
 
 def _monomial_form(text):
-    """The coefficients of a sum of terms [c*][zeta(n)[^e]*]x_i, each at the
-    order and in the representation the grammar gives, or None for any other
-    text.  A leading "+", a repeated coordinate and a form whose coefficients
-    are all zero are None too, so the grammar sums or refuses them."""
+    """The coefficients of a sum of terms [c*][zeta(n)[^e]*]x_i and
+    [c*][zeta(n)[^e]*](f), f a sum of the first kind, each at the order and
+    in the representation the grammar gives, or None for any other text.
+
+    Each term scales its coordinate by a monomial, the prefix times the inner
+    monomial for a term of f, read off the power rows at the lcm of their
+    orders as the grammar's product gives it.  Terms on one coordinate are
+    summed left to right with the grammar's +.  An order over the cap, a
+    leading "+", a coordinate written twice in one sum, and a sum whose
+    coefficients are all zero are None, so the grammar descends, sums or
+    refuses them; it reads an all-zero (f) as a scalar, which drops the
+    coordinates it scales.
+    """
     coeffs = [None] * 4
-    pos = 0
+    form, group = set(), None  # the coordinates of the form's own terms and of an open "("
+    first, pos = True, 0
     for m in _MONOMIAL.finditer(text):
-        sign, c, n, e, i = m.groups()
-        i, n = int(i), int(n) if n else 1
-        if m.start() != pos or (sign == "+" if pos == 0 else not sign) or coeffs[i] is not None:
+        sign, c, n, e, i, opening = m.groups()
+        if m.start() != pos:
             return None
-        if not 0 < n <= MAX_ORDER:
-            return None
-        c = -int(c or 1) if sign == "-" else int(c or 1)
-        coeffs[i] = _wrap(n, tuple(c * r for r in get_order(n).power_rows[int(e or 1) % n]), 1)
         pos = m.end()
-    if pos != len(text) or not any(coeffs):  # None and a zero are false
+        if not (i or opening):  # ")"
+            if not (group and any(group.values())):
+                return None
+            first, group = False, None
+            continue
+        n = int(n) if n else 1
+        if (sign == "+" if first else not sign) or not 0 < n <= MAX_ORDER:
+            return None
+        c, e = -int(c or 1) if sign == "-" else int(c or 1), int(e or 1)
+        first = bool(opening)
+        if opening:
+            if group is not None:
+                return None
+            group, prefix = {}, (n, c, e)
+            continue
+        i = int(i)
+        if i in (form if group is None else group):
+            return None
+        if group is None:
+            form.add(i)
+        else:
+            group[i] = c
+            k, d, f = prefix
+            order = lcm(k, n)
+            n, c, e = order, d * c, f * (order // k) + e * (order // n)
+        if (n if coeffs[i] is None else lcm(n, coeffs[i].order)) > MAX_ORDER:
+            return None
+        value = _wrap(n, tuple(c * r for r in get_order(n).power_rows[e % n]), 1)
+        coeffs[i] = value if coeffs[i] is None else coeffs[i] + value
+    if pos != len(text) or group is not None or not any(coeffs):  # None and a zero are false
         return None
     return tuple(ZERO if c is None else c for c in coeffs)
 
