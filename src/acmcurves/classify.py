@@ -32,10 +32,11 @@ from enum import Enum
 
 from .divisors import (
     Decomposition,
+    _from_terms,
+    _products,
     certify_effective,
     degree,
     genus,
-    intersections,
     pair,
 )
 
@@ -432,7 +433,7 @@ def _judge(spec, trace, twists, witness):
     trace = list(trace)
     parts = witness.expanded()
     for p in parts:
-        if not any(intersections(p.model, p.coeffs)):  # numerically zero
+        if not any(_products(p.model, p._terms)):  # numerically zero
             trace.append(TraceLine("witness part", "0", "nonzero effective class", False))
             return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
         cert = certify_effective(p)
@@ -506,10 +507,9 @@ def _lines(model, vec):
     with every other line, and with H in the number of its lines."""
     s = model.degree - 2
     mults = {j: -(v // s) for j, v in enumerate(vec) if v < 0}
-    coeffs = [mults.get(j, 0) for j in range(len(vec))]
-    if vec[0] > s or sum(coeffs) != vec[0] or tuple(intersections(model, coeffs)) != vec:
+    if vec[0] > s or sum(mults.values()) != vec[0] or tuple(_products(model, mults)) != vec:
         return None
-    return tuple((model.gen_class(model.generators[j]), m) for j, m in mults.items())
+    return tuple((_from_terms(model, {j: 1}), m) for j, m in mults.items())
 
 
 def _candidates(shape, twist):
@@ -518,16 +518,16 @@ def _candidates(shape, twist):
     if shape.lead == "Dtilde":
         # a plane quartic H - L_i and lines r + L_i, r = twist - H; unless r is
         # lines, L_i is not among them, so (r + L_i).L_i >= 0, i.e. r.L_i >= s
-        r = tuple(intersections(model, (twist - model.hyperplane_class).coeffs))
+        r = tuple(_products(model, (twist - model.hyperplane_class)._terms))
         every = _lines(model, r) is not None
         for i in range(1, len(r)):
             if every or r[i] >= model.degree - 2:
                 rest = _lines(model, tuple(x + y for x, y in zip(r, model.gram[i])))
                 if rest:
-                    quartic = model.hyperplane_class - model.gen_class(model.generators[i])
+                    quartic = model.hyperplane_class - _from_terms(model, {i: 1})
                     yield Decomposition(((quartic, 1),) + rest)
     elif shape.lead or shape.lines:
-        parts = _lines(model, tuple(intersections(model, twist.coeffs)))
+        parts = _lines(model, tuple(_products(model, twist._terms)))
         if parts:
             yield Decomposition(parts)
     else:

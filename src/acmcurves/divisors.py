@@ -1,9 +1,12 @@
 """Divisor-class calculus over a surface lattice model.
 
-Classes are integer vectors over a model's generators; the pairing extends
-the Gram matrix bilinearly.  A class is known up to numerical equivalence by
-its intersection vector Gram.coeffs (intersections), which equality, hashing
-and search_witness all read; a class prints and tests is_zero as written.
+A class is stored as its nonzero terms {generator index: coefficient}, and
+its dense tuple coeffs is derived on each read.  Arithmetic, the pairing
+(the Gram matrix extended bilinearly), printing and the effectivity
+certificate walk only those terms.  A class is known up to numerical
+equivalence by its intersection vector Gram.coeffs (intersections), which
+equality, hashing and search_witness all read; a class prints and tests
+is_zero as written.
 Genus and chi follow the adjunction and Riemann-Roch shapes
 and are defined for arbitrary integer classes, not just effective ones; a
 non-integral value is an error that proves the class cannot occur as stated.
@@ -51,9 +54,10 @@ class _Frozen:
 
 
 class DivClass(_Frozen):
-    """Integer combination of a model's generator classes."""
+    """Integer combination of a model's generator classes, stored as its
+    nonzero terms; coeffs is the dense tuple, derived on each read."""
 
-    __slots__ = ("model", "coeffs")
+    __slots__ = ("model", "_terms")  # _terms: {generator index: nonzero coefficient}
 
     def __init__(self, model, coeffs):
         coeffs = tuple(map(operator.index, coeffs))
@@ -62,7 +66,12 @@ class DivClass(_Frozen):
                 f"expected {model.ngens} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_terms", _nonzero(coeffs))
+
+    @property
+    def coeffs(self):
+        terms = self._terms
+        return tuple(terms.get(i, 0) for i in range(self.model.ngens))
 
     def __reduce__(self):
         return DivClass, (self.model, self.coeffs)
@@ -71,21 +80,21 @@ class DivClass(_Frozen):
         if not isinstance(other, DivClass):
             return NotImplemented
         _same_model(self, other)
-        return _class(self.model, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return _from_terms(self.model, _merged(self._terms, other._terms, 1))
 
     def __sub__(self, other):
         if not isinstance(other, DivClass):
             return NotImplemented
         _same_model(self, other)
-        return _class(self.model, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return _from_terms(self.model, _merged(self._terms, other._terms, -1))
 
     def __neg__(self):
-        return _class(self.model, tuple(-x for x in self.coeffs))
+        return _from_terms(self.model, {i: -c for i, c in self._terms.items()})
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return _class(self.model, tuple(k * x for x in self.coeffs))
+        return _from_terms(self.model, {i: k * c for i, c in self._terms.items()} if k else {})
 
     __rmul__ = __mul__
 
@@ -95,17 +104,15 @@ class DivClass(_Frozen):
             return NotImplemented
         if self.model is not other.model and self.model != other.model:
             return False
-        if self.coeffs == other.coeffs:
-            return True
-        diff = [x - y for x, y in zip(self.coeffs, other.coeffs)]
-        return not any(intersections(self.model, diff))
+        diff = _merged(self._terms, other._terms, -1)
+        return not (diff and any(_products(self.model, diff)))
 
     def __hash__(self):
         """Hash of the intersection vector Gram.coeffs, equal on equal classes."""
-        return hash(tuple(intersections(self.model, self.coeffs)))
+        return hash(tuple(_products(self.model, self._terms)))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self._terms
 
     def __str__(self):
         return format_divisor(self)
@@ -114,36 +121,57 @@ class DivClass(_Frozen):
         return f"DivClass({self})"
 
 
-def intersections(model, coeffs):
-    """Gram.coeffs as an iterator: a class's products with the generators, all 0
-    exactly when the class is numerically zero."""
-    cols = [[row[j] * c for row in model.gram] for j, c in enumerate(coeffs) if c]
+def _merged(a, b, sign):
+    """The terms a + sign*b of two term dicts, zeros dropped."""
+    terms = dict(a)
+    for i, c in b.items():
+        v = terms.get(i, 0) + sign * c
+        if v:
+            terms[i] = v
+        else:
+            del terms[i]
+    return terms
+
+
+def _from_terms(model, terms):
+    """A DivClass with the given {index: nonzero int} terms, unchecked, as
+    class arithmetic and the model's classes produce; the class owns the
+    dict from here on, and nothing mutates it."""
+    d = object.__new__(DivClass)
+    object.__setattr__(d, "model", model)
+    object.__setattr__(d, "_terms", terms)
+    return d
+
+
+def _nonzero(coeffs):
+    """The {index: coefficient} terms of a dense vector, zeros dropped."""
+    return {i: c for i, c in enumerate(coeffs) if c}
+
+
+def _products(model, terms):
+    """Gram.coeffs of a class given by its nonzero terms, as an iterator."""
+    cols = [[row[j] * c for row in model.gram] for j, c in terms.items()]
     return map(sum, zip(*cols or [[0] * len(model.gram)]))
 
 
-def _class(model, coeffs):
-    """A DivClass from a tuple of ints of the model's length, as class
-    arithmetic and SurfaceModel.gen_class produce; skips the checks of
-    DivClass.__init__."""
-    d = object.__new__(DivClass)
-    object.__setattr__(d, "model", model)
-    object.__setattr__(d, "coeffs", coeffs)
-    return d
+def intersections(model, coeffs):
+    """Gram.coeffs as an iterator: a class's products with the generators, all 0
+    exactly when the class is numerically zero."""
+    return _products(model, _nonzero(coeffs))
 
 
 def pair(a, b):
     """Exact intersection number a^T Gram b."""
     _same_model(a, b)
     gram = a.model.gram
-    bidx = [(j, y) for j, y in enumerate(b.coeffs) if y]
+    bterms = b._terms.items()
     total = 0
-    for i, x in enumerate(a.coeffs):
-        if x:
-            row = gram[i]
-            s = 0
-            for j, y in bidx:
-                s += row[j] * y
-            total += x * s
+    for i, x in a._terms.items():
+        row = gram[i]
+        s = 0
+        for j, y in bterms:
+            s += row[j] * y
+        total += x * s
     return total
 
 
@@ -372,15 +400,16 @@ def certify_effective(d):
     if d.is_zero():
         return EffectivityCertificate(True, "zero class", ())
     atlas = model.lines is not None
-    coeffs = list(d.coeffs)
+    rest = sorted((i, c) for i, c in d._terms.items() if i)
+    lead = d._terms.get(0, 0)
     if atlas:  # generator 0 is H; it pays for each negative line coefficient as H - L
-        coeffs[0] += sum(c for c in coeffs[1:] if c < 0)
-    if coeffs[0] >= 0 and (atlas or min(coeffs) >= 0):
-        H, parts = model.hyperplane_class, []
-        for i, c in enumerate(coeffs):
-            if c:
-                gen = H if atlas and not i else model.gen_class(model.generators[i])
-                parts.append((gen, c) if c > 0 else (H - gen, -c))
+        lead += sum(c for _, c in rest if c < 0)
+    if lead >= 0 and (atlas or all(c > 0 for _, c in rest)):
+        H = model.hyperplane_class
+        parts = [(H if atlas else _from_terms(model, {0: 1}), lead)] if lead else []
+        for i, c in rest:
+            gen = _from_terms(model, {i: 1})
+            parts.append((gen, c) if c > 0 else (H - gen, -c))
         return EffectivityCertificate(True, (
             "nonnegative combination of H, atlas lines, and residual plane curves" if atlas
             else "nonnegative combination of registered generators"), tuple(parts))

@@ -68,9 +68,12 @@ def _capped(value, what):
 
 
 def _inverse(value, what):
-    """1/value within the bit-size cap.  The norm that the inverse divides
-    by has about phi(n)*bits(value) bits: refuse before computing it, and
-    check the inverse itself after."""
+    """1/value within the bit-size cap; a zero, divided by or raised to a
+    negative power, is a ParseError.  The norm that the inverse divides by
+    has about phi(n)*bits(value) bits: refuse before computing it, and check
+    the inverse itself after."""
+    if value.is_zero():
+        raise ParseError("division by zero")
     if len(value.nums) * _bits(value) > MAX_POWER_BITS:
         raise _over_cap(what)
     return _capped(value.inverse(), what)
@@ -165,8 +168,6 @@ class _LinValue:
     def __truediv__(self, other):
         if not other.is_scalar():
             raise ParseError("division by a coordinate expression")
-        if other.const.is_zero():
-            raise ParseError("division by zero")
         return self._scaled(_inverse(other.const, "a quotient"))
 
 
@@ -383,7 +384,7 @@ def parse_divisor(text, model):
         terms.append(compact[start : m.start()])
         start = m.start()
     terms.append(compact[start:])
-    coeffs = [0] * model.ngens
+    coeffs = {}
     for term in terms:
         if not term or term in "+-":
             raise ParseError(f"malformed term in divisor expression {text!r}")
@@ -404,16 +405,15 @@ def parse_divisor(text, model):
             idx = model.index(term)
         except ValueError as exc:  # the model's unknown-generator message
             raise ParseError(str(exc)) from None
-        coeffs[idx] += sign * mult
-    return model.class_of(coeffs)
+        coeffs[idx] = coeffs.get(idx, 0) + sign * mult
+    return model._class_of_terms({i: c for i, c in coeffs.items() if c})
 
 
 def format_divisor(d):
     """Inverse of parse_divisor, canonical generator order."""
     bits = []
-    for name, c in zip(d.model.generators, d.coeffs):
-        if not c:
-            continue
+    for i, c in sorted(d._terms.items()):
+        name = d.model.generators[i]
         body = name if abs(c) == 1 else f"{abs(c)}*{name}"
         if not bits:
             bits.append(body if c > 0 else f"-{body}")

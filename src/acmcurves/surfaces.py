@@ -12,12 +12,11 @@ come from the exact incidence test and are 0 or 1.  Construction is
 deterministic, and constructed models are immutable.
 """
 
-import json
 from collections import namedtuple
 from functools import lru_cache
 
 from .cyclo import rational, zeta
-from .divisors import DivClass, _class, _Frozen, pair
+from .divisors import DivClass, _Frozen, _from_terms, _nonzero, pair
 from .exprs import ParseError, parse_divisor
 from .geometry import Incidence, Line, line_on_fermat, lines_meet
 
@@ -43,7 +42,8 @@ class SurfaceModel(_Frozen):
     generators[1:]."""
 
     __slots__ = ("name", "kind", "degree", "generators", "gram", "hyperplane",
-                 "canonical", "chi0", "gen_genus", "lines", "_positions", "__weakref__")
+                 "canonical", "chi0", "gen_genus", "lines",
+                 "_positions", "_hyperplane_terms", "_canonical_terms", "__weakref__")
 
     def __init__(self, name, kind, degree, generators, gram, hyperplane, canonical,
                  chi0, gen_genus, lines=None):
@@ -56,19 +56,20 @@ class SurfaceModel(_Frozen):
         positions = {}
         for i, gen in enumerate(generators):
             positions.setdefault(gen, i)
-        # hyperplane and canonical are checked once here, so that
-        # hyperplane_class and canonical_class (read by every degree, genus
-        # and chi) skip DivClass validation.  The model stores no DivClass: a
-        # class refers to its model, and that cycle would keep each discarded
-        # model alive until the cyclic collector runs, raising peak memory
-        # over repeated fresh builds.
+        # hyperplane and canonical are checked and made sparse once here, so
+        # that hyperplane_class and canonical_class (read by every degree,
+        # genus and chi) skip DivClass validation.  The model stores terms,
+        # not DivClass objects: a class refers to its model, and that cycle
+        # would keep each discarded model alive until the cyclic collector
+        # runs, raising peak memory over repeated fresh builds.
         values = (name, kind, degree, generators, gram, tuple(int(v) for v in hyperplane),
                   tuple(int(v) for v in canonical), chi0, gen_genus, lines, positions)
+        values += (_nonzero(values[5]), _nonzero(values[6]))
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
-    def __reduce__(self):  # the fields: every slot but _positions and __weakref__
-        return SurfaceModel, tuple(getattr(self, slot) for slot in self.__slots__[:-2])
+    def __reduce__(self):  # the fields: the slots before _positions
+        return SurfaceModel, tuple(getattr(self, slot) for slot in self.__slots__[:-4])
 
     @property
     def ngens(self):
@@ -83,22 +84,23 @@ class SurfaceModel(_Frozen):
             ) from None
 
     def gen_class(self, name):
-        i = self.index(name)
-        return _class(self, (0,) * i + (1,) + (0,) * (self.ngens - i - 1))
+        return _from_terms(self, {self.index(name): 1})
 
     def class_of(self, coeffs):
         return DivClass(self, tuple(coeffs))
 
+    _class_of_terms = _from_terms  # for parse_divisor, which cannot import divisors
+
     def zero_class(self):
-        return self.class_of((0,) * self.ngens)
+        return _from_terms(self, {})
 
     @property
     def hyperplane_class(self):
-        return _class(self, self.hyperplane)
+        return _from_terms(self, self._hyperplane_terms)
 
     @property
     def canonical_class(self):
-        return _class(self, self.canonical)
+        return _from_terms(self, self._canonical_terms)
 
     def parse(self, text):
         return parse_divisor(text, self)
@@ -276,6 +278,8 @@ def load_model(source):
     if isinstance(source, dict):
         doc = source
     else:
+        import json  # here, its only user, to keep it off every other import of the package
+
         text = str(source)
         try:
             if text.lstrip().startswith("{"):

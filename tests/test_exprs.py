@@ -79,6 +79,18 @@ def test_quotients_are_capped_before_inverting():
     assert parse_scalar("1/(3^1000)") == rational(1, 3**1000)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_scalar, "1/0"),
+    (parse_scalar, "0^-1"),
+    (parse_scalar, "(zeta(8) - zeta(8))^-3"),
+    (parse_linear_form, "x0/0"),
+    (parse_linear_form, "x0 + (0*x0)^-1"),
+])
+def test_a_quotient_and_a_negative_power_of_zero_raise_one_error(parse, text):
+    with pytest.raises(ParseError, match="^division by zero$"):
+        parse(text)
+
+
 def test_integer_literals_are_capped():
     largest = str(2**MAX_POWER_BITS - 1)  # 1,234 digits
     assert parse_scalar(largest) == rational(2**MAX_POWER_BITS - 1)

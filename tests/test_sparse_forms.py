@@ -37,7 +37,7 @@ def _outcome(parse, text):
     """("ok", value), or the type and text of the error the parse raised."""
     try:
         return "ok", parse(text)
-    except (ParseError, GeometryError, ZeroDivisionError) as exc:
+    except (ParseError, GeometryError) as exc:
         return type(exc), str(exc)
 
 
