@@ -440,7 +440,7 @@ def _judge(spec, trace, twists, witness):
         if not cert.ok:
             trace.append(TraceLine(f"effectivity of {p}", cert.reason, "certified", False))
             return Verdict(Status.CONDITIONAL, spec.prop_id, tuple(trace))
-    total = sum(parts[1:], parts[0])
+    total = witness.total
     for clause, twist in zip(spec.clauses, twists):
         sub = []
         matched = _match(SHAPES[clause.shape], parts, total, twist, clause.twist, sub)

@@ -20,14 +20,6 @@ one order pass through it untouched.  Where the lcm of the orders exceeds
 the cap, each value is first rewritten at its conductor, the least order
 whose field holds it, so zeta(8)^2 * zeta(7) is computed at order 28.
 
-Order-1 operands.  Ints, Fractions and rationals built by rational() have
-order 1, and lifting a rational only sets the constant term.  So a product
-with an order-1 operand scales the other operand's numerators and
-denominator and normalizes once, with no lift, convolution or fold.  A sum
-with a zero whose order divides the other operand's, such as a zero of
-order 1, returns the other operand (negated for 0 - x).  Both give the
-value at the order that lifting would give.
-
 Residues.  RESIDUE_PRIME = P = 10*L + 1 with L = lcm(1, ..., 40) is a prime,
 and RESIDUE_ROOT = W = 47^10 mod P has multiplicative order exactly L.  So
 for every supported order n, W^(L/n) is a primitive n-th root of unity in
@@ -314,13 +306,6 @@ def _lifted(values):
     ]
 
 
-def _absorbs(x, zero):
-    """Whether zero is a zero whose order divides x's: adding it changes
-    neither the value nor the order of x, and its lift would be its only
-    effect."""
-    return x.order % zero.order == 0 and not any(zero.nums)
-
-
 def _coerce(value):
     if isinstance(value, CycNum):
         return value
@@ -344,9 +329,7 @@ class CycNum:
     Supports the usual operators against other elements, ints, and
     Fractions.  Operands of different orders are lifted to Q(zeta_lcm)
     first; the lcm must stay within the order cap, after the operands
-    descend to their conductors when it would not.  An order-1 operand of a
-    product, or a zero of an order dividing the other operand's in a sum, is
-    applied without lifting.
+    descend to their conductors when it would not.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -393,10 +376,6 @@ class CycNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if _absorbs(self, other):
-            return self
-        if _absorbs(other, self):
-            return other
         n, (x, y) = _lifted((self, other))
         nums, den = _add(x, self.den, y, other.den)
         return _wrap(n, nums, den)
@@ -419,12 +398,6 @@ class CycNum:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if other.order == 1 or self.order == 1:
-            # a rational at order 1 scales the other operand's numerators:
-            # its lift would only be its constant term
-            a, b = (self, other) if other.order == 1 else (other, self)
-            nums, den = _normalize([b.nums[0] * v for v in a.nums], a.den * b.den)
-            return _wrap(a.order, nums, den)
         n, (x, y) = _lifted((self, other))
         nums, den = _normalize(_dot(((1, x, y),), get_order(n)), self.den * other.den)
         return _wrap(n, nums, den)
@@ -468,24 +441,12 @@ class CycNum:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        order = get_order(self.order)
-        support = [i for i, c in enumerate(self.nums) if c]
-        if len(support) == 1:
-            # (c*z^k/den)^e = c^e * z^(k*e) / den^e: one row of the power table
-            (k,) = support
-            c = self.nums[k] ** exponent
-            nums, den = _normalize(
-                [c * r for r in order.power_rows[k * exponent % order.n]], self.den**exponent
-            )
-            return _wrap(self.order, nums, den)
-        result = _wrap(self.order, order.power_rows[0], 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        # square and multiply from the exponent's leading bit, which is self
+        result = self if exponent else _wrap(self.order, get_order(self.order).power_rows[0], 1)
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- comparison ---------------------------------------------------

@@ -253,10 +253,10 @@ class Decomposition(_Frozen):
 
     @property
     def total(self):
-        acc = self.parts[0][0].model.zero_class()
+        terms = {}
         for cls, mult in self.parts:
-            acc = acc + mult * cls
-        return acc
+            terms = _merged(terms, cls._terms, mult)
+        return _from_terms(self.model, terms)
 
     @property
     def size(self):

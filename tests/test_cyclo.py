@@ -189,8 +189,9 @@ def _rep(x):
 
 
 def _by_lifting(op, a, b):
-    """op on a and b lifted to their common order: the path every operand
-    took before order-1 operands and zeros were applied directly."""
+    """op on a and b lifted to their common order, written out with lift,
+    _dot and _add: the operators' one path, restated with an explicit lift
+    of every operand, zeros and order-1 values included."""
     n, (a, b) = _common_order((a, b))
     a, b = a.lift(n), b.lift(n)
     if op == "*":

@@ -12,6 +12,7 @@ from acmcurves.exprs import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
     ParseError,
+    _monomial_form,
     format_divisor,
     parse_divisor,
     parse_line,
@@ -116,6 +117,73 @@ def test_linear_form():
         parse_linear_form("x0 + 1")  # affine constant
     with pytest.raises(ParseError):
         parse_linear_form("3 - 2")  # no coordinates at all
+
+
+PHI = {1: 1, 3: 2, 5: 4, 8: 4, 28: 12, 37: 36, 40: 16}
+
+
+def _pin(order, terms=None, den=1):
+    """(order, nums, den) of a value given by its nonzero numerators {i: c}."""
+    terms = terms or {}
+    return order, tuple(terms.get(i, 0) for i in range(PHI[order])), den
+
+
+NIL = _pin(1)
+
+# Forms outside the monomial reader's shapes, each with the exact
+# (order, nums, den) of every coefficient: rationals times roots, zeros of
+# dividing and non-dividing orders added to values, quotients, powers of
+# sums and conductor descent
+PINNED_FORMS = {
+    "3*zeta(40)^13*x1 + zeta(8)/2*x0": (_pin(8, {1: 1}, 2), _pin(40, {13: 3}), NIL, NIL),
+    "zeta(8)/2*x0": (_pin(8, {1: 1}, 2), NIL, NIL, NIL),
+    "0*zeta(8)*x1 + zeta(40)*x1": (NIL, _pin(40, {1: 1}), NIL, NIL),
+    "(zeta(5) - zeta(5))*x0 + zeta(8)*x0": (_pin(40, {5: 1}), NIL, NIL, NIL),
+    "x0 + zeta(8)*x1 + 2*zeta(40) - 2*zeta(40)": (_pin(1, {0: 1}), _pin(8, {1: 1}), NIL, NIL),
+    "(1 + zeta(8))^2*x2 - x3/zeta(5)": (
+        NIL, NIL, _pin(8, {0: 1, 1: 2, 2: 1}), _pin(5, {0: 1, 1: 1, 2: 1, 3: 1})),
+    "zeta(8)^2*zeta(7)*x0 + x1": (_pin(28, {11: 1}), _pin(1, {0: 1}), NIL, NIL),
+    "x0/3 + (zeta(40)^13 - zeta(40)^13)*x3": (_pin(1, {0: 1}, 3), NIL, NIL, _pin(40)),
+    "2*(x0 + zeta(5)*x1)/7": (_pin(1, {0: 2}, 7), _pin(5, {1: 2}, 7), NIL, NIL),
+    "(zeta(8)*x0 - x1)*zeta(5)^2": (_pin(40, {1: -1}), _pin(5, {2: -1}), NIL, NIL),
+}
+
+PINNED_SCALARS = {
+    "(3*zeta(40)^7/2)^5": _pin(40, {15: -243}, 32),
+    "zeta(40)^999": _pin(40, {3: 1, 7: -1, 11: 1, 15: -1}),
+    "zeta(8)^-3": _pin(8, {1: -1}),
+    "(2*zeta(37)^35/5)^40": _pin(37, {31: 2**40}, 5**40),
+    "(1 + zeta(8))^5": _pin(8, {0: -4, 1: 4, 2: 10, 3: 10}),
+    "1/(zeta(40) + 1)": _pin(40, {4: 1, 5: -1, 6: 1, 7: -1, 12: 1, 13: -1, 14: 1, 15: -1}),
+    "zeta(8)^2*zeta(7)": _pin(28, {11: 1}),
+    "(zeta(5) - zeta(5))*zeta(8)": _pin(40),
+    "zeta(5) + (zeta(8) - zeta(8))": _pin(40, {8: 1}),
+    "0 - zeta(40)^3": _pin(40, {3: -1}),
+    "zeta(4) - zeta(8)^2": _pin(8),
+    "2/3*zeta(5)^2 - 1/6": _pin(5, {0: -1, 2: 4}, 6),
+    "zeta(7)^7 + zeta(8)^8": _pin(1, {0: 2}),
+    "(zeta(3) + zeta(3)^2)^7": _pin(3, {0: -1}),
+    "(1 + zeta(8))^0": _pin(8, {0: 1}),
+    "(zeta(8)/3 - 1)^1": _pin(8, {0: -3, 1: 1}, 3),
+    "(zeta(8)/3 - 1)^6": _pin(8, {0: 594, 1: -1440, 2: 1214, 3: -540}, 729),
+    "3/zeta(8)^2*zeta(5)": _pin(40, {2: 3, 6: -3, 10: 3, 14: -3}),
+    "-(zeta(8)/3)^2": _pin(8, {2: -1}, 9),
+}
+
+
+def _rep(c):
+    return c.order, c.nums, c.den
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_FORMS))
+def test_grammar_forms_keep_their_pinned_values(text):
+    assert _monomial_form(text) is None  # the grammar reads it
+    assert tuple(map(_rep, parse_linear_form(text))) == PINNED_FORMS[text]
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_SCALARS))
+def test_grammar_scalars_keep_their_pinned_values(text):
+    assert _rep(parse_scalar(text)) == PINNED_SCALARS[text]
 
 
 def test_line_literal():
