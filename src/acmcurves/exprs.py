@@ -16,10 +16,11 @@ negative exponent, invert by the norm, whose size is about phi(n) times
 the divisor's bit size: that product must fit the cap before the inverse is
 computed, and the inverse must fit it after.
 
-A linear form evaluates to a sparse value: a scalar part and a map from the
-coordinates that occur to their coefficients.  Scaling and adding touch
-only those coordinates, so "3*zeta(40)^13*x1 + x0" never lifts the zero
-coefficients of x2 and x3 to order 40.  A scalar part that cancels, as in
+A linear form evaluates to one sparse map from the coordinates that occur,
+and from a scalar part if one occurs, to their coefficients.  Scaling and
+adding touch only those keys, so "3*zeta(40)^13*x1 + x0" never lifts the
+zero coefficients of x2 and x3 to order 40, and a coordinate term carries
+no zero scalar part into its products.  A scalar part that cancels, as in
 "x0 + zeta(8)*x1 + 2*zeta(40) - 2*zeta(40)", leaves the coefficients at the
 orders of the coordinate terms alone.
 
@@ -121,42 +122,53 @@ def _tokenize(text):
     return tokens
 
 
-class _LinValue:
-    """Scalar plus a sparse linear part in x0..x3; products must stay linear.
+_SCALAR = 4  # the key of a linear value's scalar part
 
-    vec maps a coordinate index to its coefficient, and an absent index is
-    zero, so x1 is {1: ONE} and scaling or adding touches only the
-    coordinates that occur.  const takes the same operations as a dense
-    evaluation would, so a scalar keeps its value, order and text.
+
+class _LinValue:
+    """A linear value in x0..x3 as one sparse map; products must stay linear.
+
+    terms maps a coordinate index, or _SCALAR for the scalar part, to its
+    coefficient, and an absent key is zero, so x1 is {1: ONE} and the scalar
+    c, _LinValue(c), is {_SCALAR: c}.  Scaling, adding and negating touch
+    only the keys that occur: a coordinate term has no scalar part to
+    multiply, and "3*zeta(40)^13*x1 + x0" never lifts the zero coefficients
+    of x2 and x3.
+    The scalar part takes the operations a dense evaluation gives it, except
+    that coordinates which cancel never meet it: "(x0 - x0)*zeta(40) + 1" is
+    1 at order 1, the same value that the dense evaluation has at order 40.
     """
 
-    __slots__ = ("const", "vec")
+    __slots__ = ("terms",)
 
-    def __init__(self, const, vec=None):
-        self.const = const
-        self.vec = vec or {}
+    def __init__(self, const=ZERO, terms=None):
+        self.terms = {_SCALAR: const} if terms is None else terms
 
     @staticmethod
     def coordinate(i):
-        return _LinValue(ZERO, {i: ONE})
+        return _LinValue(terms={i: ONE})
+
+    @property
+    def const(self):
+        return self.terms.get(_SCALAR, ZERO)
 
     def is_scalar(self):
-        return all(c.is_zero() for c in self.vec.values())
+        return all(c.is_zero() for i, c in self.terms.items() if i != _SCALAR)
 
     def _scaled(self, s):
-        return _LinValue(self.const * s, {i: c * s for i, c in self.vec.items()})
+        return _LinValue(terms={i: c * s for i, c in self.terms.items()})
 
     def __add__(self, other):
-        vec = dict(self.vec)
-        for i, c in other.vec.items():
-            vec[i] = vec[i] + c if i in vec else c
-        return _LinValue(self.const + other.const, vec)
+        terms = dict(self.terms)
+        for i, c in other.terms.items():
+            terms[i] = terms[i] + c if i in terms else c
+        return _LinValue(terms=terms)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return _LinValue(-self.const, {i: -c for i, c in self.vec.items()})
+        return _LinValue(terms={i: -c for i, c in self.terms.items()})
 
     def __mul__(self, other):
         if other.is_scalar():
@@ -354,7 +366,7 @@ def parse_linear_form(text):
         raise ParseError("a projective linear form cannot have a constant term")
     if value.is_scalar():
         raise ParseError("the form has no coordinate part")
-    return tuple(value.vec.get(i, ZERO) for i in range(4))
+    return tuple(value.terms.get(i, ZERO) for i in range(4))
 
 
 def parse_line(text):

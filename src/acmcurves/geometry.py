@@ -54,7 +54,11 @@ h_k(a)*h_j(b) + h_j(a)*h_k(b), and a bound B with B^phi(m) < P turns a zero
 residue into MEET (or SAME), or into a vanishing cross term.  Only where
 that bound fails, as for large or P-divisible numerators and many order-40
 literal lines, or where m exceeds the order cap, does a zero image fall
-through to exact arithmetic.
+through to exact arithmetic.  Over the cap that arithmetic first descends
+the minors to their conductors (cyclo._common_order) and raises OrderError
+when their lcm still exceeds the cap, even for two lines that meet: the
+lines x0 + zeta(7)*x1 = x2 = 0 and x0 + zeta(8)*x1 = x2 = 0 lie in one
+plane, and their pairing needs order 56.
 
 Membership in the Fermat surface of degree d is decided on the minors too.
 With a_r, b_r the entries of canonical row r in the free columns f < g, the

@@ -8,13 +8,22 @@ printed line whose parameter is an even power of the eighth root of unity,
 reports that it fails the surface membership test, and then runs the
 odd-power correction that reproduces all the printed invariants.
 
+A case is one _CASES entry, (title, model name, builder), and run_example
+runs them all the same way: it resolves the model, lets the builder append
+its claims to a fresh list and wraps them in a CaseReport.  To add a case,
+add the entry and a builder(model, claims) that names its lines with
+_on_surface, which claims their membership and returns their atlas classes,
+writes each number with _claim, and each witness with _witness, which claims
+the witness's rule and that the search finds one too.  A builder returns
+notes only when the case has a finding to explain, as ex2.1 does.
+
 Reports are deterministic and byte-identical across runs.
 """
 
 from collections import namedtuple
 
 from .classify import _plain, check_witness, classify_numeric, search_witness
-from .cyclo import rational, zeta
+from .cyclo import zeta
 from .divisors import (
     Decomposition,
     certify_effective,
@@ -83,19 +92,28 @@ def _quintic_span_model(deg, g):
     )
 
 
-def _meet_value(a, b):
-    return lines_meet(a, b).value
+def _on_surface(m, claims, *named_lines):
+    """Claim that each (text, line) lies on the Fermat surface of m; return
+    the lines' atlas classes."""
+    surface = {4: "quartic", 5: "quintic"}[m.degree]
+    for text, line in named_lines:
+        _claim(claims, f"{text} lies on the {surface}", line_on_fermat(line, m.degree), True)
+    return [m.atlas_class(line) for _, line in named_lines]
 
 
-def _case_ex21(models):
-    m = _model(models, "fermat4")
-    H = m.hyperplane_class
-    one, zero, om = rational(1), rational(0), zeta(8)
-    claims = []
-    g1 = Line((one, om, zero, zero), (zero, zero, one, om))
-    _claim(claims, "first line x0+w*x1 = x2+w*x3 lies on the quartic",
-           line_on_fermat(g1, 4), True)
-    g2_printed = Line((one, zero, om, zero), (zero, one, zero, om**2))
+def _witness(claims, text, prop, target, witness, rule):
+    """Claim that the witness settles target under rule, and that the search
+    finds a witness of its own."""
+    _claim(claims, text, check_witness(prop, target, witness).rule, rule)
+    _claim(claims, "witness search rediscovers it",
+           search_witness(prop, target, bound=10) is not None, True)
+
+
+def _ex21(m, claims):
+    H, om = m.hyperplane_class, zeta(8)
+    g1 = Line((1, om, 0, 0), (0, 0, 1, om))
+    G1, = _on_surface(m, claims, ("first line x0+w*x1 = x2+w*x3", g1))
+    g2_printed = Line((1, 0, om, 0), (0, 1, 0, om**2))
     _claim(
         claims,
         "second line as printed, x0+w*x2 = x1+w^2*x3, lies on the quartic",
@@ -104,11 +122,8 @@ def _case_ex21(models):
         note="membership FAILS as printed: w^2 is an even power, and (w^2)^4 = 1 "
         "leaves the coefficient 1 + (w^2)^4 = 2 in the expansion",
     )
-    g2 = Line((one, zero, om, zero), (zero, one, zero, om**3))
-    _claim(claims, "corrected second line x0+w*x2 = x1+w^3*x3 lies on the quartic",
-           line_on_fermat(g2, 4), True)
-    G1 = m.atlas_class(g1)
-    G2 = m.atlas_class(g2)
+    g2 = Line((1, 0, om, 0), (0, 1, 0, om**3))
+    G2, = _on_surface(m, claims, ("corrected second line x0+w*x2 = x1+w^3*x3", g2))
     _claim(claims, "Gamma1.Gamma2", pair(G1, G2), 0)
     D1 = H + G1 + G2
     D2 = 2 * H - G1 - G2
@@ -125,38 +140,29 @@ def _case_ex21(models):
            check_witness("P2.2", D1, w).status.value, "NOT_ACM")
     _claim(claims, "skew-pair witness certifies D2 non-aCM",
            check_witness("P2.2", D2, w).status.value, "NOT_ACM")
-    notes = (
+    return (
         "anomaly: the printed parameter w^2 of the second line is an even power "
         "of the primitive eighth root, so the printed equations do not cut a line "
         "on the quartic; the failed membership above records this finding",
         "any odd exponent restores membership; exponent 3 is used here because it "
         "also keeps the two lines disjoint (exponent 1 would make them meet)",
     )
-    return CaseReport("ex2.1", "skew line pairs on the Fermat quartic", tuple(claims), notes)
 
 
-def _case_ex31(models):
-    m = _model(models, "fermat5")
-    one, zero, xi = rational(1), rational(0), zeta(5)
-    claims = []
-    l1 = Line((one, one, zero, zero), (zero, zero, one, one))
-    l2 = Line((one, zero, one, zero), (zero, one, zero, xi))
-    _claim(claims, "x0+x1 = x2+x3 lies on the quintic", line_on_fermat(l1, 5), True)
-    _claim(claims, "x0+x2 = x1+xi*x3 lies on the quintic", line_on_fermat(l2, 5), True)
-    _claim(claims, "the two lines are skew (intersection count)", _meet_value(l1, l2), 0)
-    L1, L2 = m.atlas_class(l1), m.atlas_class(l2)
+def _ex31(m, claims):
+    l1 = Line((1, 1, 0, 0), (0, 0, 1, 1))
+    l2 = Line((1, 0, 1, 0), (0, 1, 0, zeta(5)))
+    L1, L2 = _on_surface(m, claims, ("x0+x1 = x2+x3", l1), ("x0+x2 = x1+xi*x3", l2))
+    _claim(claims, "the two lines are skew (intersection count)", lines_meet(l1, l2).value, 0)
     res = is_m_connected(Decomposition.of(L1, L2), 1)
     _claim(claims, "L1 + L2 is 1-connected", res.connected, False,
            note="the split (L1 | L2) has pairing 0, below the bound 1")
     _claim(claims, "minimal split pairing", res.minimum, 0)
-    return CaseReport("ex3.1", "skew lines on the Fermat quintic", tuple(claims))
 
 
-def _case_ex41(models):
-    cubic = _model(models, "cubic_delpezzo")
+def _ex41(cubic, claims):
     HY = cubic.hyperplane_class
     dt = HY + cubic.gen_class("E1") + cubic.gen_class("E2")
-    claims = []
     _claim(claims, "H_Y.Dtilde on the cubic", pair(HY, dt), 5)
     _claim(claims, "P_a(Dtilde) on the cubic", genus(dt), 1)
     span = _quintic_span_model(5, 1)
@@ -171,18 +177,11 @@ def _case_ex41(models):
            (degree(d2), genus(d2)), (10, 11))
     _claim(claims, "(10, 11) sits in the conditional table",
            classify_numeric("quintic", 10, 11).rule, "P4.5")
-    return CaseReport(
-        "ex4.1",
-        "degree-10 genus-11 curves via liaison from a cubic surface",
-        tuple(claims),
-    )
 
 
-def _case_ex42(models):
-    quad = _model(models, "quadric")
+def _ex42(quad, claims):
     HZ = quad.hyperplane_class
     dt = HZ + 2 * quad.gen_class("L2")
-    claims = []
     _claim(claims, "H_Z.Dtilde on the quadric", pair(HZ, dt), 4)
     _claim(claims, "P_a(Dtilde) on the quadric", genus(dt), 0)
     span = _quintic_span_model(4, 0)
@@ -192,26 +191,17 @@ def _case_ex42(models):
            (degree(linked), genus(linked)), (6, 3))
     _claim(claims, "(6, 3) sits in the conditional table",
            classify_numeric("quintic", 6, 3).rule, "P4.6")
-    return CaseReport(
-        "ex4.2",
-        "degree-6 genus-3 curves via liaison from a quadric surface",
-        tuple(claims),
+
+
+def _ex43(m, claims):
+    H, xi = m.hyperplane_class, zeta(5)
+    L1, L2, Gam, L3 = _on_surface(
+        m, claims,
+        ("L1", Line((1, 1, 0, 0), (0, 0, 1, 1))),
+        ("L2", Line((1, 0, 1, 0), (0, 1, 0, xi))),
+        ("Gamma", Line((0, 1, 1, 0), (1, 0, 0, xi**4))),
+        ("L3", Line((1, 1, 0, 0), (0, 0, 1, xi**4))),
     )
-
-
-def _case_ex43(models):
-    m = _model(models, "fermat5")
-    H = m.hyperplane_class
-    one, zero, xi = rational(1), rational(0), zeta(5)
-    claims = []
-    l1 = Line((one, one, zero, zero), (zero, zero, one, one))
-    l2 = Line((one, zero, one, zero), (zero, one, zero, xi))
-    gam = Line((zero, one, one, zero), (one, zero, zero, xi**4))
-    l3 = Line((one, one, zero, zero), (zero, zero, one, xi**4))
-    for name, line in (("L1", l1), ("L2", l2), ("Gamma", gam), ("L3", l3)):
-        _claim(claims, f"{name} lies on the quintic", line_on_fermat(line, 5), True)
-    L1, L2 = m.atlas_class(l1), m.atlas_class(l2)
-    Gam, L3 = m.atlas_class(gam), m.atlas_class(l3)
     _claim(claims, "L1.Gamma", pair(L1, Gam), 0)
     _claim(claims, "L2.Gamma", pair(L2, Gam), 0)
     dt = H - Gam
@@ -222,10 +212,8 @@ def _case_ex43(models):
     d_b2 = dt + L1 + L2
     _claim(claims, "D = Dtilde + L1 + L2 has (deg, genus)",
            (degree(d_b2), genus(d_b2)), (6, 3))
-    v = check_witness("P4.6", d_b2, Decomposition.of(dt, L1, L2))
-    _claim(claims, "witness settles the skew-line configuration", v.rule, "Prop4.6(b2)")
-    _claim(claims, "witness search rediscovers it",
-           search_witness("P4.6", d_b2, bound=10) is not None, True)
+    _witness(claims, "witness settles the skew-line configuration",
+             "P4.6", d_b2, Decomposition.of(dt, L1, L2), "Prop4.6(b2)")
     _claim(claims, "L3.Gamma", pair(L3, Gam), 1)
     _claim(claims, "L3.Dtilde", pair(L3, dt), 0)
     conic = L1 + L3
@@ -234,28 +222,18 @@ def _case_ex43(models):
     d_b3 = dt + L1 + L3
     _claim(claims, "D = Dtilde + L1 + L3 has (deg, genus)",
            (degree(d_b3), genus(d_b3)), (6, 3))
-    v = check_witness("P4.6", d_b3, Decomposition.of(dt, L1, L3))
-    _claim(claims, "witness settles the reducible-conic configuration", v.rule, "Prop4.6(b3)")
-    _claim(claims, "witness search rediscovers it",
-           search_witness("P4.6", d_b3, bound=10) is not None, True)
-    return CaseReport(
-        "ex4.3",
-        "degree-6 genus-3 non-aCM curves on the Fermat quintic",
-        tuple(claims),
+    _witness(claims, "witness settles the reducible-conic configuration",
+             "P4.6", d_b3, Decomposition.of(dt, L1, L3), "Prop4.6(b3)")
+
+
+def _ex44(m, claims):
+    H, xi = m.hyperplane_class, zeta(5)
+    G1, M1, M2 = _on_surface(
+        m, claims,
+        ("Gamma1", Line((1, 1, 0, 0), (0, 0, 1, 1))),
+        ("conic component 1", Line((1, 0, 1, 0), (0, 1, 0, xi))),
+        ("conic component 2", Line((1, 0, 1, 0), (0, 1, 0, xi**2))),
     )
-
-
-def _case_ex44(models):
-    m = _model(models, "fermat5")
-    H = m.hyperplane_class
-    one, zero, xi = rational(1), rational(0), zeta(5)
-    claims = []
-    g1 = Line((one, one, zero, zero), (zero, zero, one, one))
-    m1 = Line((one, zero, one, zero), (zero, one, zero, xi))
-    m2 = Line((one, zero, one, zero), (zero, one, zero, xi**2))
-    for name, line in (("Gamma1", g1), ("conic component 1", m1), ("conic component 2", m2)):
-        _claim(claims, f"{name} lies on the quintic", line_on_fermat(line, 5), True)
-    G1, M1, M2 = m.atlas_class(g1), m.atlas_class(m1), m.atlas_class(m2)
     _claim(claims, "Gamma1 meets neither conic component",
            (pair(G1, M1), pair(G1, M2)), (0, 0))
     G2 = M1 + M2
@@ -268,34 +246,20 @@ def _case_ex44(models):
     _claim(claims, "(7, 5) sits in the conditional table",
            classify_numeric("quintic", 7, 5).rule, "P4.7")
     w = Decomposition.of(G1, M1, M2)
-    _claim(claims, "line + conic witness certifies D non-aCM",
-           check_witness("P4.7", d, w).rule, "Prop4.7(b)")
-    _claim(claims, "witness search rediscovers it",
-           search_witness("P4.7", d, bound=10) is not None, True)
+    _witness(claims, "line + conic witness certifies D non-aCM", "P4.7", d, w, "Prop4.7(b)")
     linked = link(d, 3)
     _claim(claims, "class linked by a cubic has (deg, genus)",
            (degree(linked), genus(linked)), (8, 7))
     _claim(claims, "the same witness settles the linked class",
            check_witness("C4.3", linked, w).rule, "Cor4.3(b)")
-    return CaseReport(
-        "ex4.4",
-        "degree-7 genus-5 non-aCM curve on the Fermat quintic",
-        tuple(claims),
-    )
 
 
-def _case_ex45(models):
-    m = _model(models, "fermat5")
+def _ex45(m, claims):
     H = m.hyperplane_class
-    one, zero = rational(1), rational(0)
-    claims = []
-    g = Line((one, one, zero, zero), (zero, zero, one, one))
-    gt = Line((one, zero, one, zero), (zero, one, zero, one))
-    _claim(claims, "Gamma lies on the quintic", line_on_fermat(g, 5), True)
-    _claim(claims, "Gammatilde lies on the quintic", line_on_fermat(gt, 5), True)
-    _claim(claims, "Gamma and Gammatilde intersect at one point",
-           _meet_value(g, gt), 1)
-    G, Gt = m.atlas_class(g), m.atlas_class(gt)
+    g = Line((1, 1, 0, 0), (0, 0, 1, 1))
+    gt = Line((1, 0, 1, 0), (0, 1, 0, 1))
+    G, Gt = _on_surface(m, claims, ("Gamma", g), ("Gammatilde", gt))
+    _claim(claims, "Gamma and Gammatilde intersect at one point", lines_meet(g, gt).value, 1)
     dt = H - Gt
     _claim(claims, "Dtilde = Ctilde - Gammatilde has (deg, genus)",
            (degree(dt), genus(dt)), (4, 3))
@@ -303,29 +267,24 @@ def _case_ex45(models):
     d = dt + G
     _claim(claims, "D = Dtilde + Gamma has (deg, genus)",
            (degree(d), genus(d)), (5, 2))
-    w = Decomposition.of(dt, G)
-    _claim(claims, "quartic + line witness certifies D non-aCM",
-           check_witness("P4.8", d, w).rule, "Prop4.8(b)")
-    _claim(claims, "witness search rediscovers it",
-           search_witness("P4.8", d, bound=10) is not None, True)
+    _witness(claims, "quartic + line witness certifies D non-aCM",
+             "P4.8", d, Decomposition.of(dt, G), "Prop4.8(b)")
     d0 = 2 * H - d
     _claim(claims, "D0 = C + Ctilde - D has the same (deg, genus) as D",
            (degree(d0), genus(d0)), (degree(d), genus(d)))
-    return CaseReport(
-        "ex4.5",
-        "degree-5 genus-2 non-aCM curve on the Fermat quintic",
-        tuple(claims),
-    )
 
 
+# case id: (title, model name, builder); a builder appends its claims to the
+# list it is given and may return the case's notes
 _CASES = {
-    "ex2.1": _case_ex21,
-    "ex3.1": _case_ex31,
-    "ex4.1": _case_ex41,
-    "ex4.2": _case_ex42,
-    "ex4.3": _case_ex43,
-    "ex4.4": _case_ex44,
-    "ex4.5": _case_ex45,
+    "ex2.1": ("skew line pairs on the Fermat quartic", "fermat4", _ex21),
+    "ex3.1": ("skew lines on the Fermat quintic", "fermat5", _ex31),
+    "ex4.1": ("degree-10 genus-11 curves via liaison from a cubic surface",
+              "cubic_delpezzo", _ex41),
+    "ex4.2": ("degree-6 genus-3 curves via liaison from a quadric surface", "quadric", _ex42),
+    "ex4.3": ("degree-6 genus-3 non-aCM curves on the Fermat quintic", "fermat5", _ex43),
+    "ex4.4": ("degree-7 genus-5 non-aCM curve on the Fermat quintic", "fermat5", _ex44),
+    "ex4.5": ("degree-5 genus-2 non-aCM curve on the Fermat quintic", "fermat5", _ex45),
 }
 
 EXAMPLE_IDS = tuple(sorted(_CASES))
@@ -334,12 +293,14 @@ EXAMPLE_IDS = tuple(sorted(_CASES))
 def run_example(case_id, models=None):
     """Rebuild one worked configuration and evaluate its claims."""
     try:
-        builder = _CASES[case_id]
+        title, key, builder = _CASES[case_id]
     except KeyError:
         raise ValueError(
             f"unknown example id {case_id!r}; choose from {', '.join(EXAMPLE_IDS)}"
         ) from None
-    return builder(models)
+    claims = []
+    notes = builder(_model(models, key), claims)
+    return CaseReport(case_id, title, tuple(claims), notes or ())
 
 
 def verify_all(models=None):

@@ -1,8 +1,37 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from acmcurves.cyclo import CycNum
 from acmcurves.geometry import Line
 from acmcurves.surfaces import builtin_model, fermat_model
+
+
+# the benchmark's own draw of the session_queries pool, seed 1, run in a
+# fresh interpreter that writes no bytecode under perfbench/
+_DRAW_SESSION_LITERALS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import oracle, run
+job = run.make_job("session_queries", 1, {d: oracle.Lattice(d) for d in (4, 5)})
+print(json.dumps([line for ops in job["ops"] for op in ops if op["kind"] == "intersect"
+                  for line in (op["a"], op["b"])]))
+"""
+
+
+@pytest.fixture(scope="session")
+def session_literals():
+    """The 288 literal lines of the benchmark's session_queries pool, seed 1:
+    8 rounds of 18 intersect queries, two lines each, in pool order."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    proc = subprocess.run([sys.executable, "-B", "-c", _DRAW_SESSION_LITERALS, str(perfbench)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = json.loads(proc.stdout)
+    assert len(lines) == 288
+    return lines
 
 
 @pytest.fixture(scope="session")

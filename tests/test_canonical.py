@@ -8,7 +8,6 @@ must not depend on which two forms of the pencil cut the line out.
 """
 
 from math import lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -21,8 +20,6 @@ from acmcurves.surfaces import PAIRINGS, _fermat_parameter
 
 from rref_oracle import canonical_rows
 from strategies import ORDERS, elements, forms
-
-LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 
 
 def _rep(values):
@@ -59,15 +56,8 @@ def test_cramer_rows_match_the_rref_oracle_and_the_pencil(pair, data):
                        tuple(mu * b for b in f2))) == state
 
 
-def _literals():
-    return [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
-            if not t.startswith("#")]
-
-
-def test_benchmark_literals_match_the_rref_oracle():
-    texts = _literals()
-    assert len(texts) == 288
-    for text in texts:
+def test_benchmark_literals_match_the_rref_oracle(session_literals):
+    for text in session_literals:
         f1, f2 = (parse_linear_form(part) for part in text.split(";"))
         _assert_matches_oracle(parse_line(text), f1, f2)
 

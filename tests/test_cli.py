@@ -156,6 +156,24 @@ def test_intersect_descends_coefficients_to_their_conductors(capsys):
     assert err.strip() == "error: cyclotomic order 56 exceeds the supported cap 40"
 
 
+@pytest.mark.parametrize("a, b, lcm", [
+    ("x0 + zeta(7)*x1 ; x2", "x0 + zeta(8)*x1 ; x2", 56),
+    ("x0 + zeta(3)*x1 ; x2", "x0 + zeta(40)*x1 ; x2", 120),
+])
+def test_coplanar_lines_over_the_order_cap_are_refused(capsys, a, b, lcm):
+    # both lines lie in the plane x2 = 0, so they meet; a zero residue
+    # proves nothing over the cap, and the exact pairing needs order lcm
+    code, out, err = run(capsys, "intersect", a, b)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: cyclotomic order {lcm} exceeds the supported cap 40"
+
+
+def test_a_pair_that_descends_under_the_order_cap_meets(capsys):
+    # zeta(7)^7 = 1, so the pair descends to orders 1 and 8
+    code, out, err = run(capsys, "intersect", "x0 + zeta(7)^7*x1 ; x2", "x0 + zeta(8)*x1 ; x2")
+    assert (code, out.strip(), err) == (0, "1 (meet at one point)", "")
+
+
 def test_intersect_refuses_oversized_literals(capsys):
     rng = random.Random(4096)
     quotient = " + ".join(

@@ -8,7 +8,6 @@ representation, and each form it leaves must get the grammar's value or
 error, so the two paths are compared on generated texts.
 """
 
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -18,8 +17,6 @@ from hypothesis import strategies as st
 from acmcurves import exprs
 from acmcurves.cyclo import MAX_ORDER, OrderError, get_order, zeta
 from acmcurves.exprs import parse_linear_form
-
-LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 
 
 def _outcome(text):
@@ -283,12 +280,11 @@ def test_pinned_values():
     )
 
 
-def test_benchmark_forms_skip_the_grammar(monkeypatch):
+def test_benchmark_forms_skip_the_grammar(monkeypatch, session_literals):
     """None of the 576 benchmark forms reaches the grammar: the 504 monomial
     forms and the 72 plane combinations c*zeta(n)^e*(...) + ... are all
     read in one pass, with the grammar's outcome."""
-    forms = [form for line in LITERALS.read_text(encoding="utf-8").splitlines()
-             if not line.startswith("#") for form in line.split(";")]
+    forms = [form for line in session_literals for form in line.split(";")]
     want = [_by_grammar(form) for form in forms]
     tokenized = []
     tokenize = exprs._tokenize

@@ -9,8 +9,6 @@ may all vanish (a minor divisible by the residue prime), and then only exact
 arithmetic may decide.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -22,8 +20,6 @@ from acmcurves.geometry import GeometryError, Incidence, Line, line_on_fermat, l
 from det_oracle import _det
 from rref_oracle import canonical_rows
 from strategies import ORDERS, coefficients, forms
-
-LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 
 
 def _oracle_rows(f1, f2):
@@ -70,13 +66,6 @@ def test_equality_matches_the_oracle_rows(case):
         assert hash(a) == hash(b)
 
 
-def _literal_pairs():
-    texts = [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
-             if not t.startswith("#")]
-    assert len(texts) == 288
-    return list(zip(texts[::2], texts[1::2]))
-
-
 def _expected_incidence(text_a, text_b):
     """SAME, MEET or SKEW from the stacked input forms and the oracle rows."""
     fa, fb = ([parse_linear_form(p) for p in t.split(";")] for t in (text_a, text_b))
@@ -89,8 +78,9 @@ def _expected_incidence(text_a, text_b):
     return Incidence.MEET
 
 
-def test_literal_pairs_meet_without_inverting_or_canonicalizing(canonical_work):
-    pairs = _literal_pairs()
+def test_literal_pairs_meet_without_inverting_or_canonicalizing(canonical_work,
+                                                                session_literals):
+    pairs = list(zip(session_literals[::2], session_literals[1::2]))
     assert len(pairs) == 144
     lines = [(parse_line(a), parse_line(b)) for a, b in pairs]
     answers = [lines_meet(a, b) for a, b in lines]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from acmcurves import repro
 from acmcurves.repro import (
     EXAMPLE_IDS,
     SummaryReport,
@@ -27,6 +28,25 @@ def test_each_case_individually(case_id):
     report = run_example(case_id)
     assert report.ok, render_case(report)
     assert report.claims
+
+
+@pytest.fixture(scope="module")
+def fresh_fermat_models():
+    return {"fermat4": build_fermat_model(4), "fermat5": build_fermat_model(5)}
+
+
+@pytest.mark.parametrize("case_id", EXAMPLE_IDS)
+def test_each_case_reads_the_fermat_models_it_is_given(case_id, fresh_fermat_models,
+                                                        monkeypatch):
+    expected = run_example(case_id)
+    named_model = repro.named_model
+
+    def refusing(key):
+        assert key not in fresh_fermat_models, f"{case_id} read the named {key}"
+        return named_model(key)
+
+    monkeypatch.setattr(repro, "named_model", refusing)
+    assert run_example(case_id, models=fresh_fermat_models) == expected
 
 
 def test_unknown_case_id():

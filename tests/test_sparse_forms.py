@@ -7,8 +7,6 @@ canonical lines, and the same errors.  The one difference is documented:
 scalar-only terms that cancel no longer lift the coefficients of a form.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +16,6 @@ from acmcurves import cyclo
 from acmcurves.cyclo import ZERO, rational, zeta
 from acmcurves.exprs import ParseError, parse_line, parse_linear_form, parse_scalar
 from acmcurves.geometry import GeometryError
-
-LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 
 # line orders; every scalar of a line is drawn at a divisor of its order
 ORDERS = (1, 5, 7, 8, 40)
@@ -105,11 +101,8 @@ def test_lines_match_the_dense_oracle(text):
         assert got == want
 
 
-def test_benchmark_literals_match_the_dense_oracle():
-    texts = [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
-             if not t.startswith("#")]
-    assert len(texts) == 288
-    for text in texts:
+def test_benchmark_literals_match_the_dense_oracle(session_literals):
+    for text in session_literals:
         assert _state(parse_line(text)) == _state(parse_oracle.line(text)), text
 
 

@@ -10,7 +10,6 @@ map are never certified zero, and where the bound stops.
 
 from collections import Counter
 from math import isqrt
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +31,6 @@ from acmcurves.geometry import Incidence, Line, line_on_fermat, lines_meet
 from fermat_oracle import on_fermat_by_expansion
 from strategies import line_pairs, lines_and_degrees
 
-LITERALS = Path(__file__).parent / "data" / "session_literals_seed1.txt"
 _P = RESIDUE_PRIME
 # the integer image of zeta_5: zeta_5 - _W5 lies in the kernel of the residue map
 _W5 = _residue(zeta(5).nums, get_order(5))
@@ -149,11 +147,10 @@ def test_the_pairing_bound_at_the_prime(monkeypatch, c, certified):
     assert exact == ([] if certified else [(a, b)])
 
 
-def test_the_seed1_literal_pairs_take_the_exact_pairing_at_most_66_times(monkeypatch):
+def test_the_seed1_literal_pairs_take_the_exact_pairing_at_most_66_times(monkeypatch,
+                                                                           session_literals):
     # how far the norm bound reaches on the benchmark's own order-40 lines
-    texts = [t for t in LITERALS.read_text(encoding="utf-8").splitlines()
-             if not t.startswith("#")]
-    lines = [parse_line(t) for t in texts]
+    lines = [parse_line(t) for t in session_literals]
     exact = []
     pairing = geometry._pairing_numerators
 
