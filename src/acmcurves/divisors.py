@@ -258,10 +258,6 @@ class Decomposition(_Frozen):
             terms = _merged(terms, cls._terms, mult)
         return _from_terms(self.model, terms)
 
-    @property
-    def size(self):
-        return sum(mult for _, mult in self.parts)
-
     def expanded(self):
         out = []
         for cls, mult in self.parts:
@@ -291,7 +287,6 @@ def genus_of_sum(decomp):
     return g
 
 
-MAX_CONNECTEDNESS_SIZE = 20
 # splits enumerated: the product of (mult + 1) over the parts; 2^12 admits
 # every decomposition of total multiplicity 12 or less
 MAX_CONNECTEDNESS_SPLITS = 4096
@@ -306,13 +301,11 @@ def is_m_connected(decomp, m):
     """Whether every proper effective split D1 + D2 has D1.D2 >= m.
 
     All proper nonempty sub-multisets are enumerated; on failure the first
-    minimizing split is returned as the witness.
+    minimizing split is returned as the witness.  The split count, at most
+    MAX_CONNECTEDNESS_SPLITS, is the only cap: each part at least doubles
+    it, so there are 12 parts at most, and one part may have any
+    multiplicity up to 4095.
     """
-    if decomp.size > MAX_CONNECTEDNESS_SIZE:
-        raise ValueError(
-            f"decomposition has total multiplicity {decomp.size}, "
-            f"exceeding the enumeration bound {MAX_CONNECTEDNESS_SIZE}"
-        )
     parts = decomp.parts
     splits = math.prod(mult + 1 for _, mult in parts)
     if splits > MAX_CONNECTEDNESS_SPLITS:

@@ -251,7 +251,9 @@ def lines_meet(a, b):
     return Incidence.SAME if a == b else Incidence.MEET
 
 
-MAX_FERMAT_EXPANSION_DEGREE = 12
+# the largest surface degree line_on_fermat takes: a library argument, since
+# every caller passes 4 or 5; the test costs time linear in the degree
+MAX_MEMBERSHIP_DEGREE = 12
 
 
 def _powers(x, d, order):
@@ -279,9 +281,9 @@ def line_on_fermat(line, d):
     """
     if not isinstance(d, int) or d < 2:
         raise GeometryError(f"hypersurface degree must be an integer >= 2, got {d!r}")
-    if d > MAX_FERMAT_EXPANSION_DEGREE:
+    if d > MAX_MEMBERSHIP_DEGREE:
         raise GeometryError(
-            f"degree {d} exceeds the expansion bound {MAX_FERMAT_EXPANSION_DEGREE}"
+            f"surface degree {d} exceeds the membership degree cap {MAX_MEMBERSHIP_DEGREE}"
         )
     order = get_order(line.minors[0].order)
     c0, c1 = line.pivots

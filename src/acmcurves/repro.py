@@ -34,7 +34,7 @@ from .divisors import (
     pair,
 )
 from .geometry import Line, line_on_fermat, lines_meet
-from .surfaces import SurfaceModel, named_model
+from .surfaces import _hypersurface, named_model
 
 
 ClaimResult = namedtuple("ClaimResult", "description expected computed ok note", defaults=("",))
@@ -79,17 +79,8 @@ def _quintic_span_model(deg, g):
     of the given degree and genus on a quintic; the self-intersection is
     forced by adjunction."""
     self_int = 2 * g - 2 - deg
-    return SurfaceModel(
-        name=f"quintic-span(deg{deg},genus{g})",
-        kind="custom",
-        degree=5,
-        generators=("H", "Dt"),
-        gram=((5, deg), (deg, self_int)),
-        hyperplane=(1, 0),
-        canonical=(1, 0),
-        chi0=5,
-        gen_genus=(6, g),
-    )
+    return _hypersurface(5, f"quintic-span(deg{deg},genus{g})", "custom", ("H", "Dt"),
+                         ((5, deg), (deg, self_int)), hyperplane=(1, 0), gen_genus=(6, g))
 
 
 def _on_surface(m, claims, *named_lines):

@@ -2,9 +2,13 @@
 
 A SurfaceModel is the numeric shadow of a surface: named generator classes,
 their symmetric intersection Gram matrix, the hyperplane and canonical
-classes, and chi(O_X).  Fermat models of degree 4 and 5 also carry the
-atlas of 3*d^2 standard lines cut out by binomial plane pairs, with every
-atlas line verified to lie on the surface before it is admitted.
+classes, and chi(O_X).  Every model the package builds, the Fermat and
+built-in surfaces and the reproduction's quintic sublattices, comes from one
+constructor, which derives K = (d - 4)H and chi(O_X) = 1 + C(d - 1, 3) from
+the degree d by adjunction; only a custom document (load_model) states them
+itself.  Fermat models of degree 4 and 5 also carry the atlas of 3*d^2
+standard lines cut out by binomial plane pairs, with every atlas line
+verified to lie on the surface before it is admitted.
 
 Self-intersections of atlas lines are assigned by adjunction (L^2 = 2 - d,
 genus 0), not measured geometrically; pairwise products of distinct lines
@@ -186,20 +190,27 @@ def build_fermat_model(d):
                 )
             v = 1 if rel is Incidence.MEET else 0
             gram[1 + i][1 + j] = gram[1 + j][1 + i] = v
-    return _hypersurface(d, f"fermat{d}", "fermat", ("H", *names), gram, tuple(lines))
+    return _hypersurface(d, f"fermat{d}", "fermat", ("H", *names), gram, lines=tuple(lines))
 
 
-def _hypersurface(d, name, kind, generators, gram, lines=None):
-    """Model of a degree-d surface in P^3 whose first generator is H and the
-    rest lines: K = (d - 4)H, chi(O_X) = 1 + h0(O(d - 4)), and the plane
-    section has genus (d - 1)(d - 2)/2."""
+def _hypersurface(d, name, kind, generators, gram, hyperplane=None, gen_genus=None, lines=None):
+    """Model of a smooth degree-d surface in P^3, by adjunction: K = (d - 4)H
+    and chi(O_X) = 1 + h0(O(d - 4)).  Without a hyperplane, H is the first
+    generator and the rest are lines, so the genera default to the plane
+    section's (d - 1)(d - 2)/2 and then 0; with one, every generator
+    defaults to a rational curve.  gen_genus is geometric data, never read
+    off the Gram, so that model_validate's generator-adjunction check tests
+    it."""
     rest = (0,) * (len(generators) - 1)
+    if hyperplane is None:
+        hyperplane = (1,) + rest
+        gen_genus = gen_genus or ((d - 1) * (d - 2) // 2,) + rest
     return SurfaceModel(
         name=name, kind=kind, degree=d, generators=generators,
         gram=tuple(tuple(row) for row in gram),
-        hyperplane=(1,) + rest, canonical=(d - 4,) + rest,
+        hyperplane=hyperplane, canonical=tuple((d - 4) * v for v in hyperplane),
         chi0=1 + (d - 1) * (d - 2) * (d - 3) // 6,
-        gen_genus=((d - 1) * (d - 2) // 2,) + rest, lines=lines,
+        gen_genus=gen_genus or (0,) + rest, lines=lines,
     )
 
 
@@ -216,35 +227,17 @@ BUILTIN_NAMES = ("quadric", "cubic_delpezzo", "generic_quartic", "generic_quinti
 def builtin_model(name):
     """Built-in lattice models for the auxiliary surfaces."""
     if name == "quadric":
-        # P^1 x P^1 with the two rulings; H = L1 + L2, K = -2H
-        return SurfaceModel(
-            name="quadric",
-            kind="quadric",
-            degree=2,
-            generators=("L1", "L2"),
-            gram=((0, 1), (1, 0)),
-            hyperplane=(1, 1),
-            canonical=(-2, -2),
-            chi0=1,
-            gen_genus=(0, 0),
-        )
+        # P^1 x P^1 with the two rulings; H = L1 + L2
+        return _hypersurface(2, name, "quadric", ("L1", "L2"), ((0, 1), (1, 0)), hyperplane=(1, 1))
     if name == "cubic_delpezzo":
-        # blow-up of P^2 at six general points; H = 3l - sum(E), K = -H
+        # blow-up of P^2 at six general points, H = 3l - sum(E); l is the
+        # pullback of a line and the E_i the exceptional curves
         gram = tuple(
             tuple((1 if i == 0 else -1) if i == j else 0 for j in range(7))
             for i in range(7)
         )
-        return SurfaceModel(
-            name="cubic_delpezzo",
-            kind="cubic_delpezzo",
-            degree=3,
-            generators=("l", "E1", "E2", "E3", "E4", "E5", "E6"),
-            gram=gram,
-            hyperplane=(3, -1, -1, -1, -1, -1, -1),
-            canonical=(-3, 1, 1, 1, 1, 1, 1),
-            chi0=1,
-            gen_genus=(0,) * 7,
-        )
+        return _hypersurface(3, name, "cubic_delpezzo", ("l", "E1", "E2", "E3", "E4", "E5", "E6"),
+                             gram, hyperplane=(3, -1, -1, -1, -1, -1, -1))
     if name in ("generic_quartic", "generic_quintic"):
         d = 4 if name == "generic_quartic" else 5
         return _hypersurface(d, name, "generic", ("H",), ((d,),))

@@ -191,10 +191,11 @@ def test_m_connected_positive_case(fermat5):
     assert res.connected and res.minimum == 1
 
 
-def test_m_connected_size_bound(fermat5):
+def test_m_connected_caps_only_the_splits(fermat5):
+    # 22 splits; the least is H | 20H, with pairing 5 * 20
     H = fermat5.hyperplane_class
-    with pytest.raises(ValueError):
-        is_m_connected(Decomposition(((H, 21),)), 1)
+    res = is_m_connected(Decomposition(((H, 21),)), 1)
+    assert (res.connected, res.minimum) == (True, 100)
 
 
 def test_m_connected_split_bound(fermat5):

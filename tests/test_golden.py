@@ -2,10 +2,10 @@
 
 A refactor that must not change what the program prints is checked here:
 `repro all` (text and JSON), `witness search` for one documented target
-per rule (text and JSON), `model show fermat5`, both atlas listings (their
-canonical rows), one order-40 literal `intersect` per answer and one
-out-of-table `classify --json`, whose trace value is a (genus, degree)
-tuple, written as a JSON list.
+per rule (text and JSON), `model show` of fermat5 and of the four built-in
+models, both atlas listings (their canonical rows), one order-40 literal
+`intersect` per answer and one out-of-table `classify --json`, whose trace
+value is a (genus, degree) tuple, written as a JSON list.
 """
 
 from pathlib import Path
@@ -21,6 +21,10 @@ GOLDEN = {
     "repro_all.txt": ["repro", "all"],
     "repro_all.json": ["repro", "all", "--json"],
     "model_show_fermat5.txt": ["model", "show", "fermat5"],
+    "model_show_quadric.txt": ["model", "show", "quadric"],
+    "model_show_cubic_delpezzo.txt": ["model", "show", "cubic_delpezzo"],
+    "model_show_generic_quartic.txt": ["model", "show", "generic_quartic"],
+    "model_show_generic_quintic.txt": ["model", "show", "generic_quintic"],
     "lines_list_fermat4.txt": ["lines", "list", "--model", "fermat4"],
     "lines_list_fermat5.txt": ["lines", "list", "--model", "fermat5"],
     "classify_quartic_out_of_table.json": [

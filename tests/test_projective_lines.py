@@ -132,6 +132,8 @@ def test_vanishing_residues_keep_the_exact_answer(case):
     equal = _oracle_equal(_oracle_rows(f1, f2), _oracle_rows(g1, g2))
     assert equal is (expected is Incidence.SAME)
     assert (a == b) is equal and (b == a) is equal
+    if equal:  # a hash that reads the residues must still agree on these
+        assert hash(a) == hash(b)
 
 
 # forms with denominators, each once as written and once times 2 and 3

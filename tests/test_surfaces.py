@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmcurves import surfaces
+from acmcurves import repro, surfaces
 from acmcurves.divisors import DivClass, chi, degree, genus, pair
 from acmcurves.geometry import Incidence, Line, line_on_fermat, lines_meet
 from acmcurves.surfaces import (
@@ -147,6 +147,33 @@ def test_builtin_generic():
 def test_builtin_unknown_name():
     with pytest.raises(SurfaceError):
         builtin_model("septic")
+
+
+_DEL_PEZZO_GRAM = ((1, 0, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0), (0, 0, -1, 0, 0, 0, 0),
+                   (0, 0, 0, -1, 0, 0, 0), (0, 0, 0, 0, -1, 0, 0), (0, 0, 0, 0, 0, -1, 0),
+                   (0, 0, 0, 0, 0, 0, -1))
+
+
+# every field, gen_genus included, which `model show` does not print
+@pytest.mark.parametrize("build, fields", [
+    (lambda: builtin_model("quadric"),
+     ("quadric", "quadric", 2, ("L1", "L2"), ((0, 1), (1, 0)), (1, 1), (-2, -2), 1, (0, 0), None)),
+    (lambda: builtin_model("cubic_delpezzo"),
+     ("cubic_delpezzo", "cubic_delpezzo", 3, ("l", "E1", "E2", "E3", "E4", "E5", "E6"),
+      _DEL_PEZZO_GRAM, (3, -1, -1, -1, -1, -1, -1), (-3, 1, 1, 1, 1, 1, 1), 1, (0,) * 7, None)),
+    (lambda: builtin_model("generic_quartic"),
+     ("generic_quartic", "generic", 4, ("H",), ((4,),), (1,), (0,), 2, (3,), None)),
+    (lambda: builtin_model("generic_quintic"),
+     ("generic_quintic", "generic", 5, ("H",), ((5,),), (1,), (1,), 5, (6,), None)),
+    (lambda: repro._quintic_span_model(5, 1),
+     ("quintic-span(deg5,genus1)", "custom", 5, ("H", "Dt"), ((5, 5), (5, -5)), (1, 0), (1, 0),
+      5, (6, 1), None)),
+    (lambda: repro._quintic_span_model(4, 0),
+     ("quintic-span(deg4,genus0)", "custom", 5, ("H", "Dt"), ((5, 4), (4, -6)), (1, 0), (1, 0),
+      5, (6, 0), None)),
+], ids=[*BUILTIN_NAMES, "span(5,1)", "span(4,0)"])
+def test_built_models_keep_every_field(build, fields):
+    assert build().__reduce__()[1] == fields
 
 
 def test_named_model_resolves_every_name(fermat5, fermat4):
