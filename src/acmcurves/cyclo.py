@@ -13,12 +13,24 @@ signed sum of products of integer numerator tuples at one order, each
 convolved into one buffer of length 2*phi - 1, which is folded modulo Phi_n
 once and not normalized.  A CycNum product is one _dot with one term, an
 inverse a chain of them, and the exact zero tests of geometry are _dot
-over many terms; _normalize and _add finish CycNum's results.  One
+over many terms; _normalize finishes CycNum's results.  A sum has one
+formula, _add's cross-multiplied a*d' + b*d over d*d', which _normalize
+brings to the same canonical form when the denominators are equal.  One
 function, _lifted, brings values of different orders to their common
 order, for CycNum's operators and for geometry's lines alike.  Values of
 one order pass through it untouched.  Where the lcm of the orders exceeds
 the cap, each value is first rewritten at its conductor, the least order
-whose field holds it, so zeta(8)^2 * zeta(7) is computed at order 28.
+whose field holds it, so zeta(8)^2 * zeta(7) is computed at order 28.  The
+descent takes one prime at a time, and the trace it divides by the degree
+is formed by _substitute, the same exponent rewrite as a lift and a
+Galois conjugation.
+
+Operands.  Every binary operator, == included, takes a CycNum, an int
+(a bool too) or a Rational such as a Fraction on either side, and one
+decorator, _operand, coerces the other operand with _coerce.  Any other
+operand gives NotImplemented, so Python raises its usual TypeError for
+arithmetic, and == falls back to identity: 1.5, "1" and None are never
+equal to a CycNum.
 
 Residues.  RESIDUE_PRIME = P = 10*L + 1 with L = lcm(1, ..., 40) is a prime,
 and RESIDUE_ROOT = W = 47^10 mod P has multiplicative order exactly L.  So
@@ -50,7 +62,7 @@ den * cof / N(nums).  The conjugation sigma_j sends z^i to z^(i*j), a row
 of the power table.
 """
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm, log10
 import cmath
 import numbers
@@ -165,11 +177,7 @@ def _normalize(nums, den):
 
 
 def _add(anums, aden, bnums, bden):
-    if aden == bden:
-        return _normalize([x + y for x, y in zip(anums, bnums)], aden)
-    return _normalize(
-        [x * bden + y * aden for x, y in zip(anums, bnums)], aden * bden
-    )
+    return _normalize([x * bden + y * aden for x, y in zip(anums, bnums)], aden * bden)
 
 
 def _dot(terms, order):
@@ -241,20 +249,16 @@ def _below(nums, n, p):
     p | m, the trace of z^i is p*zeta_m^(i/p) when p | i and 0 otherwise.  If
     not, zeta_n = zeta_m^s * zeta_p^t with s*p = 1 mod m and t a unit mod p,
     so the trace of z^i is zeta_m^(i*s) times p - 1 when p | i and -1
-    otherwise.  The candidate is the element exactly when it lifts back to
-    these numerators.
+    otherwise: the numerators so weighted, rewritten by _substitute with
+    j = s at order m.  The candidate is the element exactly when it lifts
+    back to these numerators.
     """
     m = n // p
     if m % p == 0:
         below = list(nums[::p])
     else:
-        s, rows = pow(p, -1, m), get_order(m).power_rows
-        trace = [0] * get_order(m).phi
-        for i, c in enumerate(nums):
-            if c:
-                c *= p - 1 if i % p == 0 else -1
-                for k, r in enumerate(rows[i * s % m]):
-                    trace[k] += c * r
+        weighted = [c * (p - 1) if i % p == 0 else -c for i, c in enumerate(nums)]
+        trace = _substitute(weighted, pow(p, -1, m), get_order(m))
         if any(v % (p - 1) for v in trace):
             return None
         below = [v // (p - 1) for v in trace]
@@ -316,6 +320,18 @@ def _coerce(value):
     return None
 
 
+def _operand(op):
+    """op(self, other) with other coerced by _coerce, or NotImplemented when
+    other is not a CycNum, an int or a Rational."""
+
+    @wraps(op)
+    def coerced(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is None else op(self, other)
+
+    return coerced
+
+
 def _ratio(p, q):
     """p/q for q > 0 in lowest terms, written as str(Fraction(p, q)) writes it."""
     g = gcd(p, q)
@@ -372,32 +388,24 @@ class CycNum:
 
     # -- arithmetic ---------------------------------------------------
 
+    @_operand
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         n, (x, y) = _lifted((self, other))
         nums, den = _add(x, self.den, y, other.den)
         return _wrap(n, nums, den)
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return self + -other
 
+    @_operand
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_operand
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         n, (x, y) = _lifted((self, other))
         nums, den = _normalize(_dot(((1, x, y),), get_order(n)), self.den * other.den)
         return _wrap(n, nums, den)
@@ -424,16 +432,12 @@ class CycNum:
         nums, den = _normalize([self.den * c for c in cof], norm)
         return _wrap(self.order, nums, den)
 
+    @_operand
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_operand
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, exponent):
@@ -451,10 +455,8 @@ class CycNum:
 
     # -- comparison ---------------------------------------------------
 
+    @_operand
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         if lcm(self.order, other.order) > MAX_ORDER and self._key() != other._key():
             # no order to lift both to, but the ring maps of all orders
             # agree: a different residue or denominator proves self != other

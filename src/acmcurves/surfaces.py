@@ -109,21 +109,22 @@ class SurfaceModel(_Frozen):
     def parse(self, text):
         return parse_divisor(text, self)
 
-    def line_named(self, name):
+    def _atlas(self):
+        """The atlas lines, or SurfaceError for a model without an atlas."""
         if self.lines is None:
             raise SurfaceError(f"model {self.name} has no line atlas")
-        return self.lines[self.index(name) - 1]
+        return self.lines
+
+    def line_named(self, name):
+        return self._atlas()[self.index(name) - 1]
 
     def line_names(self):
-        if self.lines is None:
-            raise SurfaceError(f"model {self.name} has no line atlas")
+        self._atlas()
         return self.generators[1:]
 
     def atlas_class(self, line):
         """Generator class of a geometric line found in the atlas."""
-        if self.lines is None:
-            raise SurfaceError(f"model {self.name} has no line atlas")
-        for i, known in enumerate(self.lines):
+        for i, known in enumerate(self._atlas()):
             if known == line:
                 return self.gen_class(self.generators[1 + i])
         raise SurfaceError(f"line {line} is not in the atlas of {self.name}")

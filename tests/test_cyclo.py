@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, zero tests."""
 
 import cmath
+import operator
 import random
 import time
 from fractions import Fraction
@@ -294,6 +295,56 @@ def test_values_of_one_order_keep_their_numerators():
         assert _rep(a + b) == _by_lifting("+", a, b) and _rep(a * b) == _by_lifting("*", a, b)
         assert (a == b) == (_rep(a) == _rep(b))
         assert _lifted((a, b, a)) == (40, [a.nums, b.nums, a.nums])
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# CycNum values at orders 1, 5, 8 and 40, and plain operands, equal ones included
+_VALUES = (rational(-3, 7), zeta(5) * 3 - 1, zeta(8) - rational(1, 2), zeta(40, 13))
+_PLAIN = (0, 1, -5, True, False, Fraction(-3, 7), Fraction(4))
+
+
+def _restated(op, a, b):
+    """a op b by _by_lifting, a division as a product with the inverse."""
+    a, b = CycNum(a), CycNum(b)
+    return _by_lifting("*", a, b.inverse()) if op == "/" else _by_lifting(op, a, b)
+
+
+@pytest.mark.parametrize("x", _VALUES, ids=str)
+def test_every_operator_takes_ints_bools_fractions_and_cycnums_on_either_side(x):
+    for other in _PLAIN + _VALUES:
+        for op, fn in _OPERATORS.items():
+            for a, b in ((x, other), (other, x)):
+                if op == "/" and not b:
+                    with pytest.raises(ZeroDivisionError):
+                        fn(a, b)
+                else:
+                    assert _rep(fn(a, b)) == _restated(op, a, b), (a, op, b)
+        equal = not any(_restated("-", x, other)[1])
+        assert (x == other) is (other == x) is equal
+        assert (x != other) is (other != x) is (not equal)
+
+
+def _type_error(op, left, right):
+    """The message Python gives when neither operand's type takes the other:
+    a str repeats on either side of * and concatenates on the left of +."""
+    if "str" in (left, right) and op == "*":
+        return "can't multiply sequence by non-int of type 'CycNum'"
+    if left == "str" and op == "+":
+        return 'can only concatenate str (not "CycNum") to str'
+    return f"unsupported operand type(s) for {op}: '{left}' and '{right}'"
+
+
+@pytest.mark.parametrize("bad", (1.5, "1", None), ids=repr)
+def test_other_operands_raise_type_error_and_compare_unequal(bad):
+    x = zeta(8)
+    for op, fn in _OPERATORS.items():
+        for a, b in ((x, bad), (bad, x)):
+            with pytest.raises(TypeError) as raised:
+                fn(a, b)
+            assert str(raised.value) == _type_error(op, type(a).__name__, type(b).__name__)
+    assert (x == bad) is False and (bad == x) is False
+    assert (x != bad) is True and (bad != x) is True
+    assert bad not in [x] and x not in [bad]
 
 
 def _conductor_of_root(n, k):
